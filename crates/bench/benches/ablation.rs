@@ -1,9 +1,11 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! 1. **Sparse vs dense interest storage** — the same Meetup-like instance
-//!    scored through both layouts. Sparse wins in proportion to sparsity;
-//!    this is the engineering choice the paper's `|U|`-per-score accounting
-//!    abstracts away.
+//! 1. **Sparse vs dense vs compressed interest storage** — the same
+//!    Meetup-like instance scored through all three layouts. Sparse wins in
+//!    proportion to sparsity; this is the engineering choice the paper's
+//!    `|U|`-per-score accounting abstracts away. The compressed arm is the
+//!    evidence for keeping sparse (EXPERIMENTS.md, *Storage layouts on
+//!    Meetup*).
 //! 2. **Bound effectiveness by dataset** — the full incremental-scheme
 //!    decomposition ALG → LAZY (upper-bound laziness only) → INC (+ interval
 //!    organization), and HOR → HOR-I, on Zip vs Unf: the paper's §4.2.8
@@ -14,6 +16,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ses_algorithms::SchedulerKind;
 use ses_bench::{instance, threaded_label, Threads, BENCH_THREADS, BENCH_USERS};
+use ses_core::model::StorageKind;
 use ses_datasets::{meetup, Dataset, MeetupParams};
 use std::hint::black_box;
 
@@ -25,13 +28,20 @@ fn storage_ablation(c: &mut Criterion) {
         ..MeetupParams::default()
     };
     let sparse_inst = meetup::generate(&params);
-    let mut dense_inst = sparse_inst.clone();
-    dense_inst.event_interest = sparse_inst.event_interest.to_dense().into();
-    dense_inst.competing_interest = sparse_inst.competing_interest.to_dense().into();
+    let convert = |kind| {
+        let mut inst = sparse_inst.clone();
+        inst.event_interest = sparse_inst.event_interest.convert_to(kind);
+        inst.competing_interest = sparse_inst.competing_interest.convert_to(kind);
+        inst
+    };
+    let dense_inst = convert(StorageKind::Dense);
+    let compressed_inst = convert(StorageKind::Compressed);
 
     let mut group = c.benchmark_group("ablation_storage/Meetup");
     group.sample_size(10);
-    for (label, inst) in [("sparse", &sparse_inst), ("dense", &dense_inst)] {
+    let layouts =
+        [("sparse", &sparse_inst), ("dense", &dense_inst), ("compressed", &compressed_inst)];
+    for (label, inst) in layouts {
         for threads in BENCH_THREADS {
             let t = Threads::new(threads);
             let hor_i = BenchmarkId::new(threaded_label("HOR-I", threads), label);

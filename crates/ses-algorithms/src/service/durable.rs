@@ -101,10 +101,7 @@ pub struct DurableService {
 /// The result of loading a state directory into a fresh service.
 struct Loaded {
     svc: SesService,
-    generation: u64,
-    replayed: u64,
-    torn: Option<u64>,
-    fell_back: u64,
+    report: RecoveryReport,
     /// Records in the newest replayed log (seed for the compaction
     /// trigger).
     newest_records: u64,
@@ -126,7 +123,7 @@ impl DurableService {
     ) -> Result<(Self, RecoveryReport), ServiceError> {
         std::fs::create_dir_all(dir)
             .map_err(|e| ServiceError::Io { detail: format!("{}: {e}", dir.display()) })?;
-        if generations(dir)?.is_empty() {
+        let (svc, wal, wal_records, report) = if generations(dir)?.is_empty() {
             if !wal_generations(dir)?.is_empty() {
                 return Err(ServiceError::corrupt(format!(
                     "state dir {}: write-ahead logs present but no snapshot",
@@ -136,15 +133,6 @@ impl DurableService {
             let svc = SesService::new(inst).with_threads(default_threads);
             write_snapshot(dir, 0, &state_bytes(&svc)?)?;
             let wal = WalWriter::open(&wal_path(dir, 0), None)?;
-            let this = Self {
-                svc,
-                dir: dir.to_path_buf(),
-                generation: 0,
-                wal,
-                wal_records: 0,
-                snapshot_every,
-                default_threads,
-            };
             let report = RecoveryReport {
                 fresh: true,
                 generation: 0,
@@ -152,13 +140,14 @@ impl DurableService {
                 torn: None,
                 fell_back: 0,
             };
-            return Ok((this, report));
-        }
-        let (svc, generation, wal, wal_records, report) = attach(dir, default_threads)?;
+            (svc, wal, 0, report)
+        } else {
+            attach(dir, default_threads)?
+        };
         let mut this = Self {
             svc,
             dir: dir.to_path_buf(),
-            generation,
+            generation: report.generation,
             wal,
             wal_records,
             snapshot_every,
@@ -216,9 +205,9 @@ impl DurableService {
     /// # Errors
     /// As [`open`](Self::open); on error the live state is untouched.
     pub fn reload(&mut self) -> Result<RecoveryReport, ServiceError> {
-        let (svc, generation, wal, wal_records, report) = attach(&self.dir, self.default_threads)?;
+        let (svc, wal, wal_records, report) = attach(&self.dir, self.default_threads)?;
         self.svc = svc;
-        self.generation = generation;
+        self.generation = report.generation;
         self.wal = wal;
         self.wal_records = wal_records;
         if report.fell_back > 0 {
@@ -236,18 +225,18 @@ impl DurableService {
         match req {
             Request::Persist => match self.compact() {
                 Ok((generation, folded)) => Response::Persisted { generation, folded },
-                Err(e) => error_response(&e),
+                Err(e) => Response::error(&e),
             },
             Request::Restore => match self.reload() {
                 Ok(r) => Response::Restored { generation: r.generation, replayed: r.replayed },
-                Err(e) => error_response(&e),
+                Err(e) => Response::error(&e),
             },
             Request::Schedule { .. }
             | Request::ApplyOps { .. }
             | Request::Repair { .. }
             | Request::Reset => {
                 if let Err(e) = self.wal.append(wire::encode_request(req).as_bytes()) {
-                    return error_response(&e);
+                    return Response::error(&e);
                 }
                 self.wal_records += 1;
                 let resp = self.svc.handle(req);
@@ -256,7 +245,7 @@ impl DurableService {
                         // The record is durable in the log either way, but
                         // a session that can no longer write snapshots
                         // should say so rather than grow the log silently.
-                        return error_response(&e);
+                        return Response::error(&e);
                     }
                 }
                 resp
@@ -281,15 +270,6 @@ impl DurableService {
     pub fn sync_wal(&mut self) -> Result<(), ServiceError> {
         self.wal.sync()
     }
-
-    /// The serve-loop body, like [`SesService::handle_line`] but durable.
-    pub fn handle_line(&mut self, line: &str) -> String {
-        let resp = match wire::decode_request(line) {
-            Ok(req) => self.handle(&req),
-            Err(e) => error_response(&e),
-        };
-        wire::encode_response(&resp)
-    }
 }
 
 /// Read-only dry run of recovery for `ses recover`: reports what a real
@@ -306,13 +286,7 @@ pub fn inspect(dir: &Path, default_threads: Threads) -> Result<Inspection, Servi
         generations: gens,
         wal_generations: wals,
         snapshot: loaded.svc.snapshot(),
-        report: RecoveryReport {
-            fresh: false,
-            generation: loaded.generation,
-            replayed: loaded.replayed,
-            torn: loaded.torn,
-            fell_back: loaded.fell_back,
-        },
+        report: loaded.report,
     })
 }
 
@@ -321,23 +295,16 @@ pub fn inspect(dir: &Path, default_threads: Threads) -> Result<Inspection, Servi
 fn attach(
     dir: &Path,
     default_threads: Threads,
-) -> Result<(SesService, u64, WalWriter, u64, RecoveryReport), ServiceError> {
-    let loaded = load(dir, default_threads)?;
+) -> Result<(SesService, WalWriter, u64, RecoveryReport), ServiceError> {
+    let Loaded { svc, report, newest_records } = load(dir, default_threads)?;
     // New records append to the newest existing log so replay order is
     // preserved; when the newest log belongs to a *newer* generation than
     // the snapshot we recovered from (fallback), the caller compacts
     // immediately and never appends here.
-    let append_gen = wal_generations(dir)?.into_iter().max().unwrap_or(loaded.generation);
-    let append_gen = append_gen.max(loaded.generation);
-    let wal = WalWriter::open(&wal_path(dir, append_gen), loaded.torn)?;
-    let report = RecoveryReport {
-        fresh: false,
-        generation: loaded.generation,
-        replayed: loaded.replayed,
-        torn: loaded.torn,
-        fell_back: loaded.fell_back,
-    };
-    Ok((loaded.svc, loaded.generation, wal, loaded.newest_records, report))
+    let append_gen = wal_generations(dir)?.into_iter().max().unwrap_or(report.generation);
+    let append_gen = append_gen.max(report.generation);
+    let wal = WalWriter::open(&wal_path(dir, append_gen), report.torn)?;
+    Ok((svc, wal, newest_records, report))
 }
 
 /// The recovery core (pure read): newest valid snapshot, then replay every
@@ -440,7 +407,8 @@ fn load(dir: &Path, default_threads: Threads) -> Result<Loaded, ServiceError> {
             newest_records = contents.records.len() as u64;
         }
     }
-    Ok(Loaded { svc, generation: base, replayed, torn, fell_back, newest_records })
+    let report = RecoveryReport { fresh: false, generation: base, replayed, torn, fell_back };
+    Ok(Loaded { svc, report, newest_records })
 }
 
 /// Serializes the session for a snapshot payload.
@@ -448,9 +416,4 @@ fn state_bytes(svc: &SesService) -> Result<Vec<u8>, ServiceError> {
     serde_json::to_string(&svc.to_state())
         .map(String::into_bytes)
         .map_err(|e| ServiceError::Io { detail: format!("serialize session state: {e}") })
-}
-
-/// Renders a failure the way [`SesService::handle`] does.
-fn error_response(e: &ServiceError) -> Response {
-    Response::Error { code: e.code().to_string(), message: e.to_string() }
 }

@@ -285,6 +285,14 @@ pub enum Response {
     },
 }
 
+impl Response {
+    /// The [`Response::Error`] a failure is answered with — the one
+    /// rendering every serve path uses.
+    pub fn error(e: &ServiceError) -> Self {
+        Response::Error { code: e.code().to_string(), message: e.to_string() }
+    }
+}
+
 /// Per-op repair measurements with the wall-clock stripped (the
 /// deterministic subset of [`RepairReport`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -510,13 +518,10 @@ impl ReadView {
         match req {
             Request::Query { query } => match self.query(query) {
                 Ok(reply) => Response::Info { reply },
-                Err(e) => Response::Error { code: e.code().to_string(), message: e.to_string() },
+                Err(e) => Response::error(&e),
             },
             Request::Snapshot => Response::State { snapshot: self.snapshot() },
-            _ => {
-                let e = ServiceError::failed("read view can only answer Query/Snapshot");
-                Response::Error { code: e.code().to_string(), message: e.to_string() }
-            }
+            _ => Response::error(&ServiceError::failed("read view can only answer Query/Snapshot")),
         }
     }
 }
@@ -1134,10 +1139,7 @@ impl SesService {
     /// serve loop can keep going.
     pub fn handle(&mut self, req: &Request) -> Response {
         self.requests_handled += 1;
-        match self.dispatch(req) {
-            Ok(resp) => resp,
-            Err(e) => Response::Error { code: e.code().to_string(), message: e.to_string() },
-        }
+        self.dispatch(req).unwrap_or_else(|e| Response::error(&e))
     }
 
     fn dispatch(&mut self, req: &Request) -> Result<Response, ServiceError> {
@@ -1206,17 +1208,6 @@ impl SesService {
             }
         }
     }
-
-    /// The serve-loop body: decode one request line, handle it, encode the
-    /// response line. Malformed lines come back as encoded `Error`
-    /// responses rather than failures.
-    pub fn handle_line(&mut self, line: &str) -> String {
-        let resp = match wire::decode_request(line) {
-            Ok(req) => self.handle(&req),
-            Err(e) => Response::Error { code: e.code().to_string(), message: e.to_string() },
-        };
-        wire::encode_response(&resp)
-    }
 }
 
 #[cfg(test)]
@@ -1230,6 +1221,12 @@ mod tests {
 
     fn service() -> SesService {
         SesService::new(running_example()).with_threads(Threads::sequential())
+    }
+
+    /// Decode, handle, encode — one wire line through a bare service.
+    fn answer_line(svc: &mut SesService, line: &str) -> String {
+        let req = wire::decode_request(line).expect("well-formed request line");
+        wire::encode_response(&svc.handle(&req))
     }
 
     /// Equality on everything but the wall clock.
@@ -1404,11 +1401,13 @@ mod tests {
     #[test]
     fn windowless_wire_lines_stay_v1_compatible() {
         let mut svc = service();
-        let resp = svc.handle_line(
+        let resp = answer_line(
+            &mut svc,
             r#"{"v":1,"req":{"ApplyOps":{"ops":[{"ShiftInterest":{"event":0,"user":0,"interest":0.5}}]}}}"#,
         );
         assert_eq!(resp, r#"{"v":1,"resp":{"Applied":{"applied":1,"repairs":[]}}}"#);
-        let resp = svc.handle_line(
+        let resp = answer_line(
+            &mut svc,
             r#"{"v":1,"req":{"ApplyOps":{"ops":[{"ShiftInterest":{"event":0,"user":0,"interest":0.25}},{"ShiftInterest":{"event":0,"user":0,"interest":0.75}}],"window":4}}}"#,
         );
         assert!(resp.contains(r#""windows":[{"ops":2,"coalesced":1}]"#), "{resp}");
@@ -1461,7 +1460,7 @@ mod tests {
         let snap = svc.snapshot();
         assert_eq!(snap.storage, None);
         assert_eq!(snap.heap_bytes, None);
-        let line = svc.handle_line(r#"{"v":1,"req":"Snapshot"}"#);
+        let line = answer_line(&mut svc, r#"{"v":1,"req":"Snapshot"}"#);
         assert!(!line.contains("storage") && !line.contains("heap_bytes"), "{line}");
 
         for kind in [ses_core::model::StorageKind::Sparse, ses_core::model::StorageKind::Compressed]
@@ -1473,7 +1472,7 @@ mod tests {
             let snap = svc.snapshot();
             assert_eq!(snap.storage.as_deref(), Some(kind.name()));
             assert_eq!(snap.heap_bytes, Some(expected));
-            let line = svc.handle_line(r#"{"v":1,"req":"Snapshot"}"#);
+            let line = answer_line(&mut svc, r#"{"v":1,"req":"Snapshot"}"#);
             assert!(line.contains(&format!(r#""storage":"{}""#, kind.name())), "{line}");
         }
     }

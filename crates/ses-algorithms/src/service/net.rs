@@ -41,21 +41,24 @@
 //!
 //! ## Connection guards
 //!
-//! The stdio stdin guards apply per connection: `--max-line-bytes` bounds
+//! Every connection runs [`serve_lines`], the same line loop stdio serve
+//! runs on stdin, so the guards are the same: `--max-line-bytes` bounds
 //! what one line can buffer (over-cap lines are drained, answered with a
-//! protocol `Error`, and the connection lives on), an idle timeout closes
-//! connections that send nothing, and `--max-connections` answers excess
-//! connects with exactly one protocol `Error` line before closing.
+//! protocol `Error`, and the connection lives on). Sockets add an idle
+//! timeout that closes connections that send nothing, and
+//! `--max-connections` answers excess connects with exactly one protocol
+//! `Error` line before closing. The connection thread owns its slot, so a
+//! panicking request cannot leak it.
 
-use super::durable::DurableService;
+use super::durable::{DurableService, RecoveryReport};
 use super::{is_read_only, wire, ReadView, Request, Response, SesService, SessionInfo};
 use ses_core::error::ServiceError;
 use ses_core::model::Instance;
 use ses_core::parallel::Threads;
 use std::collections::BTreeMap;
-use std::io::{BufRead, Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -118,76 +121,6 @@ fn install_signal_handlers() {
 fn install_signal_handlers() {}
 
 // ---------------------------------------------------------------------------
-// Capped line reading (shared with stdio serve)
-// ---------------------------------------------------------------------------
-
-/// One capped line read.
-pub enum LineRead {
-    /// Clean end of input.
-    Eof,
-    /// A complete line within the cap (without the terminator).
-    Line(String),
-    /// The line exceeded the cap; its bytes were drained, not buffered.
-    Oversized,
-}
-
-/// Reads one `\n`-terminated line, buffering at most `cap` bytes. An
-/// over-cap line is consumed chunk by chunk (bounded memory) and reported
-/// as [`LineRead::Oversized`] so the caller can answer an error and keep
-/// the session alive. Used by the stdio serve loop; the TCP path uses
-/// [`ConnReader`], which adds shutdown/idle ticks.
-///
-/// # Errors
-/// Propagates the reader's I/O errors (including invalid UTF-8).
-pub fn read_capped_line(reader: &mut impl BufRead, cap: usize) -> std::io::Result<LineRead> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut overflowed = false;
-    loop {
-        let chunk = reader.fill_buf()?;
-        if chunk.is_empty() {
-            // EOF. A final unterminated line still counts as a line.
-            return Ok(if overflowed {
-                LineRead::Oversized
-            } else if buf.is_empty() {
-                LineRead::Eof
-            } else {
-                LineRead::Line(finish_line(buf)?)
-            });
-        }
-        let newline = chunk.iter().position(|&b| b == b'\n');
-        let take = newline.unwrap_or(chunk.len());
-        if !overflowed {
-            if buf.len() + take > cap {
-                overflowed = true;
-                buf = Vec::new(); // drop what was buffered; keep draining
-            } else {
-                buf.extend_from_slice(&chunk[..take]);
-            }
-        }
-        let consumed = take + usize::from(newline.is_some());
-        reader.consume(consumed);
-        if newline.is_some() {
-            return Ok(if overflowed {
-                LineRead::Oversized
-            } else {
-                LineRead::Line(finish_line(buf)?)
-            });
-        }
-    }
-}
-
-/// UTF-8 conversion with the same error shape `BufRead::lines` produces,
-/// and the same trailing-`\r` trim.
-fn finish_line(mut buf: Vec<u8>) -> std::io::Result<String> {
-    if buf.last() == Some(&b'\r') {
-        buf.pop();
-    }
-    String::from_utf8(buf).map_err(|_| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, "stream did not contain valid UTF-8")
-    })
-}
-
-// ---------------------------------------------------------------------------
 // Session backend (shared with stdio serve)
 // ---------------------------------------------------------------------------
 
@@ -201,6 +134,32 @@ pub enum SessionBackend {
 }
 
 impl SessionBackend {
+    /// Brings one session up — the single opener behind stdio serve and
+    /// [`SessionManager::open`]. With `state_dir` the session is durable
+    /// there, recovering whatever the directory already holds (see
+    /// [`DurableService::open`]); without, it is in-memory over `inst`.
+    ///
+    /// # Errors
+    /// The durable open's [`ServiceError::Io`] or [`ServiceError::Corrupt`].
+    pub fn open(
+        name: &str,
+        inst: Instance,
+        threads: Threads,
+        state_dir: Option<&Path>,
+        snapshot_every: u64,
+    ) -> Result<(Self, SessionBoot), ServiceError> {
+        let (backend, recovery) = match state_dir {
+            None => (SessionBackend::Plain(SesService::new(inst).with_threads(threads)), None),
+            Some(dir) => {
+                let (svc, report) = DurableService::open(dir, inst, threads, snapshot_every)?;
+                (SessionBackend::Durable(svc), Some(report))
+            }
+        };
+        let boot =
+            SessionBoot { session: name.to_string(), durable: backend.is_durable(), recovery };
+        Ok((backend, boot))
+    }
+
     /// Answers one request (the durable flavor logs mutations first).
     pub fn handle(&mut self, req: &Request) -> Response {
         match self {
@@ -209,12 +168,15 @@ impl SessionBackend {
         }
     }
 
-    /// The serve-loop body: decode, handle, encode.
+    /// The stdio serve-loop body: decode one request line, handle it,
+    /// encode the response line. Malformed lines come back as encoded
+    /// `Error` responses rather than failures.
     pub fn handle_line(&mut self, line: &str) -> String {
-        match self {
-            SessionBackend::Plain(s) => s.handle_line(line),
-            SessionBackend::Durable(s) => s.handle_line(line),
-        }
+        let resp = match wire::decode_request(line) {
+            Ok(req) => self.handle(&req),
+            Err(e) => Response::error(&e),
+        };
+        wire::encode_response(&resp)
     }
 
     /// The backing service, for state inspection.
@@ -246,6 +208,51 @@ impl SessionBackend {
             SessionBackend::Plain(_) => Ok(()),
             SessionBackend::Durable(s) => s.sync_wal(),
         }
+    }
+}
+
+/// What bringing one session up found — the material for its stderr
+/// boot banner and its `SessionOpened` answer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SessionBoot {
+    /// The session's name.
+    pub session: String,
+    /// Whether it persists to the state directory.
+    pub durable: bool,
+    /// What the durable open found on disk; `None` for an in-memory
+    /// session, and for an [`SessionManager::open`] of a live session.
+    pub recovery: Option<RecoveryReport>,
+}
+
+impl SessionBoot {
+    /// Whether existing on-disk state was recovered into the session.
+    pub fn recovered(&self) -> bool {
+        self.recovery.as_ref().is_some_and(|r| !r.fresh)
+    }
+
+    /// The session's one stderr boot line, for stdio and TCP alike.
+    pub fn banner(&self) -> String {
+        let state = match &self.recovery {
+            Some(r) if !r.fresh => {
+                let torn = r
+                    .torn
+                    .map(|at| format!(", torn final record truncated at byte {at}"))
+                    .unwrap_or_default();
+                let fell = match r.fell_back {
+                    0 => String::new(),
+                    n => format!(", fell back past {n} corrupt snapshot(s)"),
+                };
+                format!(
+                    "recovered generation {} ({} log records replayed{torn}{fell}); dataset \
+                     flags ignored",
+                    r.generation, r.replayed,
+                )
+            }
+            Some(_) => "fresh durable session (generation 0)".to_string(),
+            None if self.durable => "live durable session".to_string(),
+            None => "fresh in-memory session".to_string(),
+        };
+        format!("# ses serve [session:{}]: {state}", self.session)
     }
 }
 
@@ -321,22 +328,6 @@ impl NetSession {
 // SessionManager
 // ---------------------------------------------------------------------------
 
-/// What bringing one session up at boot found — the material for the
-/// server's per-session stderr diagnostics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SessionBoot {
-    /// The session's name.
-    pub session: String,
-    /// Whether it persists to the state directory.
-    pub durable: bool,
-    /// Whether existing on-disk state was recovered into it.
-    pub recovered: bool,
-    /// Log records replayed during recovery (0 for fresh sessions).
-    pub replayed: u64,
-    /// Snapshot generation recovered from (0 for fresh sessions).
-    pub generation: u64,
-}
-
 /// The process-wide registry of named sessions: opens, closes, lists,
 /// and routes requests. Shared across connection threads behind an
 /// `Arc`; the map lock is held only for resolution, never while a
@@ -380,17 +371,12 @@ impl SessionManager {
         };
         let mut names = vec![DEFAULT_SESSION.to_string()];
         if let Some(dir) = &manager.state_dir {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| ServiceError::Io { detail: format!("{}: {e}", dir.display()) })?;
-            let entries = std::fs::read_dir(dir)
-                .map_err(|e| ServiceError::Io { detail: format!("{}: {e}", dir.display()) })?;
-            for entry in entries {
-                let entry = entry
-                    .map_err(|e| ServiceError::Io { detail: format!("{}: {e}", dir.display()) })?;
-                let is_dir = entry
-                    .file_type()
-                    .map_err(|e| ServiceError::Io { detail: format!("{}: {e}", dir.display()) })?
-                    .is_dir();
+            let io =
+                |e: std::io::Error| ServiceError::Io { detail: format!("{}: {e}", dir.display()) };
+            std::fs::create_dir_all(dir).map_err(io)?;
+            for entry in std::fs::read_dir(dir).map_err(io)? {
+                let entry = entry.map_err(io)?;
+                let is_dir = entry.file_type().map_err(io)?.is_dir();
                 let name = entry.file_name().to_string_lossy().into_owned();
                 if is_dir && validate_session_name(&name).is_ok() && !names.contains(&name) {
                     names.push(name);
@@ -424,13 +410,8 @@ impl SessionManager {
         validate_session_name(name)?;
         let mut sessions = self.sessions.write().expect("session map lock poisoned");
         if let Some(existing) = sessions.get(name) {
-            return Ok(SessionBoot {
-                session: name.to_string(),
-                durable: existing.durable(),
-                recovered: false,
-                replayed: 0,
-                generation: 0,
-            });
+            let durable = existing.durable();
+            return Ok(SessionBoot { session: name.to_string(), durable, recovery: None });
         }
         if sessions.len() >= self.max_sessions {
             return Err(ServiceError::invalid(format!(
@@ -438,35 +419,14 @@ impl SessionManager {
                 self.max_sessions
             )));
         }
-        let (backend, boot) = match &self.state_dir {
-            None => {
-                let svc = SesService::new(self.template.clone()).with_threads(self.threads);
-                let boot = SessionBoot {
-                    session: name.to_string(),
-                    durable: false,
-                    recovered: false,
-                    replayed: 0,
-                    generation: 0,
-                };
-                (SessionBackend::Plain(svc), boot)
-            }
-            Some(dir) => {
-                let (svc, report) = DurableService::open(
-                    &dir.join(name),
-                    self.template.clone(),
-                    self.threads,
-                    self.snapshot_every,
-                )?;
-                let boot = SessionBoot {
-                    session: name.to_string(),
-                    durable: true,
-                    recovered: !report.fresh,
-                    replayed: report.replayed,
-                    generation: report.generation,
-                };
-                (SessionBackend::Durable(svc), boot)
-            }
-        };
+        let dir = self.state_dir.as_ref().map(|d| d.join(name));
+        let (backend, boot) = SessionBackend::open(
+            name,
+            self.template.clone(),
+            self.threads,
+            dir.as_deref(),
+            self.snapshot_every,
+        )?;
         sessions.insert(name.to_string(), Arc::new(NetSession::new(backend)));
         Ok(boot)
     }
@@ -522,22 +482,22 @@ impl SessionManager {
         match req {
             Request::OpenSession { session: name } => match self.open(name) {
                 Ok(boot) => Response::SessionOpened {
+                    recovered: boot.recovered(),
                     session: boot.session,
                     durable: boot.durable,
-                    recovered: boot.recovered,
                 },
-                Err(e) => error_response(&e),
+                Err(e) => Response::error(&e),
             },
             Request::CloseSession { session: name } => match self.close(name) {
                 Ok(()) => Response::SessionClosed { session: name.clone() },
-                Err(e) => error_response(&e),
+                Err(e) => Response::error(&e),
             },
             Request::ListSessions => Response::Sessions { sessions: self.list() },
             _ => {
                 let name = session.unwrap_or(DEFAULT_SESSION);
                 match self.resolve(name) {
                     Ok(s) => s.handle(req),
-                    Err(e) => error_response(&e),
+                    Err(e) => Response::error(&e),
                 }
             }
         }
@@ -551,7 +511,7 @@ impl SessionManager {
     pub fn handle_line(&self, line: &str) -> String {
         let resp = match wire::decode_request_routed(line) {
             Ok((req, session)) => self.handle_routed(session.as_deref(), &req),
-            Err(e) => error_response(&e),
+            Err(e) => Response::error(&e),
         };
         wire::encode_response(&resp)
     }
@@ -594,10 +554,6 @@ pub fn validate_session_name(name: &str) -> Result<(), ServiceError> {
         )));
     }
     Ok(())
-}
-
-fn error_response(e: &ServiceError) -> Response {
-    Response::Error { code: e.code().to_string(), message: e.to_string() }
 }
 
 // ---------------------------------------------------------------------------
@@ -655,19 +611,8 @@ pub fn serve(cfg: &NetConfig, template: Instance) -> Result<ServeReport, Service
         cfg.snapshot_every,
         cfg.max_sessions,
     )?;
-    for b in &boots {
-        if b.recovered {
-            eprintln!(
-                "# ses serve [session:{}]: recovered generation {} ({} log records replayed)",
-                b.session, b.generation, b.replayed,
-            );
-        } else {
-            eprintln!(
-                "# ses serve [session:{}]: fresh {} session",
-                b.session,
-                if b.durable { "durable" } else { "in-memory" },
-            );
-        }
+    for boot in &boots {
+        eprintln!("{}", boot.banner());
     }
     let manager = Arc::new(manager);
     let listener = TcpListener::bind(&cfg.listen)
@@ -701,13 +646,12 @@ pub fn serve(cfg: &NetConfig, template: Instance) -> Result<ServeReport, Service
                     continue;
                 }
                 report.connections += 1;
-                active.fetch_add(1, Ordering::SeqCst);
+                let slot = ConnectionSlot::take(&active);
                 let manager = Arc::clone(&manager);
-                let active = Arc::clone(&active);
                 let (cap, idle) = (cfg.max_line_bytes, cfg.idle_timeout);
                 handles.push(std::thread::spawn(move || {
+                    let _slot = slot;
                     serve_connection(stream, &manager, cap, idle);
-                    active.fetch_sub(1, Ordering::SeqCst);
                 }));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -737,18 +681,36 @@ pub fn serve(cfg: &NetConfig, template: Instance) -> Result<ServeReport, Service
     Ok(report)
 }
 
+/// One held `--max-connections` slot. The connection thread owns it, so
+/// the slot comes back when the thread ends — also when a request panics
+/// and unwinds past the serve loop.
+struct ConnectionSlot(Arc<AtomicUsize>);
+
+impl ConnectionSlot {
+    fn take(active: &Arc<AtomicUsize>) -> Self {
+        active.fetch_add(1, Ordering::SeqCst);
+        Self(Arc::clone(active))
+    }
+}
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// Answers an over-cap connect with exactly one protocol `Error` line;
 /// dropping the stream closes it.
 fn reject_connection(mut stream: TcpStream, cap: usize) {
     let err = ServiceError::protocol(format!("connection limit reached (--max-connections {cap})"));
-    let line = wire::encode_response(&error_response(&err));
-    let _ = writeln!(stream, "{line}");
+    let _ = writeln!(stream, "{}", error_line(&err));
     let _ = stream.flush();
 }
 
-/// One connection's serve loop: read framed lines (with shutdown/idle
-/// ticks), route each through the manager, answer on the same socket.
-/// Write failures end the connection silently — the peer is gone.
+/// One connection: the shared line loop over the socket, with read ticks
+/// for the shutdown flag and the idle clock, routing every line through
+/// the manager. Write failures end the connection silently — the peer is
+/// gone.
 fn serve_connection(
     stream: TcpStream,
     manager: &SessionManager,
@@ -759,60 +721,111 @@ fn serve_connection(
         return;
     }
     let Ok(read_half) = stream.try_clone() else { return };
-    let mut reader = ConnReader::new(read_half);
-    let mut out = stream;
-    loop {
-        if shutdown_requested() {
-            return;
-        }
-        match reader.read_line(max_line_bytes, idle_timeout) {
-            Ok(NetRead::Line(line)) => {
-                let trimmed = line.trim();
-                if trimmed.is_empty() || trimmed.starts_with('#') {
-                    continue;
-                }
-                let resp = manager.handle_line(trimmed);
-                if writeln!(out, "{resp}").is_err() || out.flush().is_err() {
-                    return;
-                }
-            }
-            Ok(NetRead::Oversized) => {
-                let err = ServiceError::protocol(format!(
-                    "request line exceeds --max-line-bytes ({max_line_bytes})"
-                ));
-                let line = wire::encode_response(&error_response(&err));
-                if writeln!(out, "{line}").is_err() || out.flush().is_err() {
-                    return;
-                }
-            }
-            Ok(NetRead::IdleTimeout) => {
-                let err = ServiceError::protocol("idle timeout; closing connection");
-                let line = wire::encode_response(&error_response(&err));
-                let _ = writeln!(out, "{line}");
-                let _ = out.flush();
-                return;
-            }
-            Ok(NetRead::Eof) | Ok(NetRead::Shutdown) => return,
-            Err(e) => {
-                // Answer in-protocol (best effort) and close, mirroring
-                // the stdio read-failure contract.
-                let err = ServiceError::from(e);
-                let line = wire::encode_response(&error_response(&err));
-                let _ = writeln!(out, "{line}");
-                let _ = out.flush();
-                return;
-            }
-        }
-    }
+    let _ = serve_lines(read_half, stream, max_line_bytes, idle_timeout, |line| {
+        manager.handle_line(line)
+    });
 }
 
-/// What one TCP line read produced.
-enum NetRead {
-    /// A complete line within the cap.
+// ---------------------------------------------------------------------------
+// The line loop (shared by stdio and TCP)
+// ---------------------------------------------------------------------------
+
+/// How a [`serve_lines`] loop ended.
+#[derive(Debug)]
+pub enum LoopEnd {
+    /// The input reached end of stream.
+    Eof,
+    /// A graceful shutdown was requested ([`request_shutdown`]); a partial
+    /// line was abandoned unanswered.
+    Shutdown,
+    /// No bytes arrived for the idle window; answered with one `Error`
+    /// line.
+    IdleTimeout,
+    /// Reading failed (e.g. invalid UTF-8); answered with one `io`-coded
+    /// `Error` line.
+    ReadFailed(ServiceError),
+}
+
+/// What a finished [`serve_lines`] loop did.
+#[derive(Debug)]
+pub struct LoopReport {
+    /// How it ended.
+    pub end: LoopEnd,
+    /// Response lines written, the `Error` lines for over-cap lines, read
+    /// failures and idle timeouts included.
+    pub answered: u64,
+}
+
+/// The serve loop of both transports. Reads lines of at most
+/// `max_line_bytes` from `input`, skips blank and `#` lines, and answers
+/// every other line with `answer(line)` on `out`, flushing after each
+/// response. An over-cap line is answered with a protocol `Error` and the
+/// loop goes on; a read failure or an idle timeout (`idle_timeout` counts
+/// only on read ticks, i.e. `input` reads that time out) is answered with
+/// one `Error` line and ends it, as do end of input and a requested
+/// shutdown.
+///
+/// # Errors
+/// A failed write to `out` — the response channel itself is gone.
+pub fn serve_lines(
+    input: impl Read,
+    mut out: impl Write,
+    max_line_bytes: usize,
+    idle_timeout: Option<Duration>,
+    mut answer: impl FnMut(&str) -> String,
+) -> std::io::Result<LoopReport> {
+    let mut reader = ConnReader::new(input);
+    let mut answered = 0u64;
+    let end = loop {
+        if shutdown_requested() {
+            break LoopEnd::Shutdown;
+        }
+        let (response, end) = match reader.read_line(max_line_bytes, idle_timeout) {
+            Ok(LineRead::Line(line)) => {
+                let line = line.trim();
+                if line.is_empty() || line.starts_with('#') {
+                    continue;
+                }
+                (answer(line), None)
+            }
+            Ok(LineRead::Oversized) => {
+                let msg = format!("request line exceeds --max-line-bytes ({max_line_bytes})");
+                (error_line(&ServiceError::protocol(msg)), None)
+            }
+            Ok(LineRead::IdleTimeout) => {
+                let err = ServiceError::protocol("idle timeout; closing connection");
+                (error_line(&err), Some(LoopEnd::IdleTimeout))
+            }
+            Ok(LineRead::Eof) => break LoopEnd::Eof,
+            Ok(LineRead::Shutdown) => break LoopEnd::Shutdown,
+            Err(e) => {
+                let err = ServiceError::from(e);
+                (error_line(&err), Some(LoopEnd::ReadFailed(err)))
+            }
+        };
+        writeln!(out, "{response}")?;
+        out.flush()?;
+        answered += 1;
+        if let Some(end) = end {
+            break end;
+        }
+    };
+    Ok(LoopReport { end, answered })
+}
+
+/// One encoded `Error` response line.
+fn error_line(e: &ServiceError) -> String {
+    wire::encode_response(&Response::error(e))
+}
+
+/// What one capped line read produced.
+#[derive(Debug)]
+enum LineRead {
+    /// A complete line within the cap (without its terminator).
     Line(String),
     /// The line exceeded the cap; drained, not buffered.
     Oversized,
-    /// The peer closed its write half.
+    /// The input ended.
     Eof,
     /// No bytes for the configured idle window.
     IdleTimeout,
@@ -821,93 +834,100 @@ enum NetRead {
     Shutdown,
 }
 
-/// Line framing over a read-timeout socket: accumulates bytes across
-/// timeout ticks (polling the shutdown flag and the idle clock at each),
-/// enforcing the line cap with bounded memory exactly like
-/// [`read_capped_line`].
-struct ConnReader {
-    stream: TcpStream,
+/// Line framing over any byte source — stdin, or a socket with a read
+/// timeout. Bytes are kept across reads and across the timeout ticks at
+/// which it polls the shutdown flag and the idle clock, and the cap holds
+/// with bounded memory: an over-cap line is dropped and drained to its
+/// newline, never buffered whole.
+struct ConnReader<R> {
+    inner: R,
     /// Bytes received but not yet returned as lines.
     pending: Vec<u8>,
+    /// Prefix of `pending` already searched for a newline.
+    scanned: usize,
     /// The line being read already blew the cap and is draining.
     overflowed: bool,
 }
 
-impl ConnReader {
-    fn new(stream: TcpStream) -> Self {
-        Self { stream, pending: Vec::new(), overflowed: false }
+impl<R: Read> ConnReader<R> {
+    fn new(inner: R) -> Self {
+        Self { inner, pending: Vec::new(), scanned: 0, overflowed: false }
     }
 
-    fn read_line(&mut self, cap: usize, idle: Option<Duration>) -> std::io::Result<NetRead> {
+    fn read_line(&mut self, cap: usize, idle: Option<Duration>) -> std::io::Result<LineRead> {
         let mut last_activity = Instant::now();
         loop {
-            // A buffered complete line answers without touching the socket.
-            if let Some(pos) = self.pending.iter().position(|&b| b == b'\n') {
-                let mut line: Vec<u8> = self.pending.drain(..=pos).collect();
+            // A buffered complete line answers without touching the source.
+            if let Some(at) = self.pending[self.scanned..].iter().position(|&b| b == b'\n') {
+                let mut line: Vec<u8> = self.pending.drain(..=self.scanned + at).collect();
+                self.scanned = 0;
                 line.pop(); // the newline
-                if self.overflowed || line.len() > cap {
-                    self.overflowed = false;
-                    return Ok(NetRead::Oversized);
+                if line.len() > cap {
+                    return Ok(LineRead::Oversized);
                 }
-                return finish_line(line).map(NetRead::Line);
+                return finish_line(line).map(LineRead::Line);
             }
+            self.scanned = self.pending.len();
             if self.pending.len() > cap {
                 // Partial line already over the cap: switch to draining.
                 self.pending.clear();
+                self.scanned = 0;
                 self.overflowed = true;
             }
             let mut chunk = [0u8; 8192];
-            match self.stream.read(&mut chunk) {
+            match self.inner.read(&mut chunk) {
                 Ok(0) => {
-                    if self.overflowed {
-                        self.overflowed = false;
-                        return Ok(NetRead::Oversized);
-                    }
-                    if self.pending.is_empty() {
-                        return Ok(NetRead::Eof);
-                    }
-                    // A final unterminated line still counts as a line.
-                    let line = std::mem::take(&mut self.pending);
-                    return finish_line(line).map(NetRead::Line);
+                    // End of input. A final unterminated line still counts.
+                    self.scanned = 0;
+                    return if std::mem::take(&mut self.overflowed) {
+                        Ok(LineRead::Oversized)
+                    } else if self.pending.is_empty() {
+                        Ok(LineRead::Eof)
+                    } else {
+                        finish_line(std::mem::take(&mut self.pending)).map(LineRead::Line)
+                    };
                 }
                 Ok(n) => {
                     last_activity = Instant::now();
-                    if self.overflowed {
-                        // Drain until the newline; keep what follows it.
-                        if let Some(pos) = chunk[..n].iter().position(|&b| b == b'\n') {
-                            self.pending.extend_from_slice(&chunk[pos + 1..n]);
-                            self.overflowed = false;
-                            return Ok(NetRead::Oversized);
-                        }
-                    } else {
-                        self.pending.extend_from_slice(&chunk[..n]);
+                    let chunk = &chunk[..n];
+                    if !self.overflowed {
+                        self.pending.extend_from_slice(chunk);
+                    } else if let Some(at) = chunk.iter().position(|&b| b == b'\n') {
+                        // Drained to the newline; keep what follows it.
+                        self.pending.extend_from_slice(&chunk[at + 1..]);
+                        self.overflowed = false;
+                        return Ok(LineRead::Oversized);
                     }
                 }
                 Err(e)
                     if matches!(
                         e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
                     ) =>
                 {
                     // Read tick: poll shutdown, then the idle clock.
                     if shutdown_requested() {
-                        return Ok(NetRead::Shutdown);
+                        return Ok(LineRead::Shutdown);
                     }
-                    if let Some(limit) = idle {
-                        if last_activity.elapsed() >= limit {
-                            return Ok(NetRead::IdleTimeout);
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                    if shutdown_requested() {
-                        return Ok(NetRead::Shutdown);
+                    if idle.is_some_and(|limit| last_activity.elapsed() >= limit) {
+                        return Ok(LineRead::IdleTimeout);
                     }
                 }
                 Err(e) => return Err(e),
             }
         }
     }
+}
+
+/// UTF-8 conversion with the same error shape `BufRead::lines` produces,
+/// and a trailing-`\r` trim.
+fn finish_line(mut buf: Vec<u8>) -> std::io::Result<String> {
+    if buf.last() == Some(&b'\r') {
+        buf.pop();
+    }
+    String::from_utf8(buf).map_err(|_| {
+        std::io::Error::new(ErrorKind::InvalidData, "stream did not contain valid UTF-8")
+    })
 }
 
 #[cfg(test)]
@@ -936,8 +956,8 @@ mod tests {
     #[test]
     fn open_is_idempotent_and_capped() {
         let m = manager();
-        assert!(!m.open("a").expect("open a").recovered);
-        assert!(!m.open("a").expect("reopen a").recovered);
+        assert!(!m.open("a").expect("open a").recovered());
+        assert!(!m.open("a").expect("reopen a").recovered());
         assert_eq!(m.len(), 2);
         for i in 0..6 {
             m.open(&format!("cap{i}")).expect("fill");
@@ -1070,7 +1090,7 @@ mod tests {
                 8,
             )
             .expect("boot");
-            assert!(boots.iter().all(|b| b.durable && !b.recovered));
+            assert!(boots.iter().all(|b| b.durable && !b.recovered()));
             m.open("alpha").expect("open alpha");
             let mutate = Request::Schedule {
                 algorithm: "INC".into(),
@@ -1089,20 +1109,97 @@ mod tests {
             SessionManager::new(running_example(), Threads::sequential(), Some(dir.clone()), 4, 8)
                 .expect("reboot");
         assert_eq!(boots.len(), 2);
-        assert!(boots.iter().all(|b| b.durable && b.recovered));
+        assert!(boots.iter().all(|b| b.durable && b.recovered()));
         let names: Vec<_> = m.list().into_iter().map(|s| s.session).collect();
         assert_eq!(names, vec!["alpha", DEFAULT_SESSION]);
         m.sync_all().expect("sync");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A source that hands out one byte per call, with a `WouldBlock`
+    /// tick between calls — a socket with a read timeout, at its worst.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        tick: bool,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.tick = !self.tick;
+            if self.tick {
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            let Some((&b, rest)) = self.data.split_first() else { return Ok(0) };
+            buf[0] = b;
+            self.data = rest;
+            Ok(1)
+        }
+    }
+
+    /// Every read up to end of input or the first error, as comparable
+    /// strings.
+    fn read_all(source: impl Read, cap: usize) -> Vec<String> {
+        let mut reader = ConnReader::new(source);
+        let mut seen = Vec::new();
+        loop {
+            match reader.read_line(cap, None) {
+                Ok(LineRead::Eof) => return seen,
+                Ok(read) => seen.push(format!("{read:?}")),
+                Err(e) => {
+                    seen.push(format!("Err({:?})", e.kind()));
+                    return seen;
+                }
+            }
+        }
+    }
+
     #[test]
     fn capped_line_reader_matches_the_stdio_contract() {
-        let data = b"short\nway too long for the cap\nafter\n";
-        let mut r = std::io::BufReader::new(&data[..]);
-        assert!(matches!(read_capped_line(&mut r, 10).unwrap(), LineRead::Line(l) if l == "short"));
-        assert!(matches!(read_capped_line(&mut r, 10).unwrap(), LineRead::Oversized));
-        assert!(matches!(read_capped_line(&mut r, 10).unwrap(), LineRead::Line(l) if l == "after"));
-        assert!(matches!(read_capped_line(&mut r, 10).unwrap(), LineRead::Eof));
+        let cap = 8;
+        let line = |l: &str| format!("{:?}", LineRead::Line(l.to_string()));
+        let over = format!("{:?}", LineRead::Oversized);
+        let cases: Vec<(&[u8], Vec<String>)> = vec![
+            (b"short\n", vec![line("short")]),
+            (b"crlf\r\nnext\r\n", vec![line("crlf"), line("next")]),
+            (b"exactly8\n", vec![line("exactly8")]),
+            (b"ninebytes\ngood\n", vec![over.clone(), line("good")]),
+            (b"ok\nover-cap final line", vec![line("ok"), over.clone()]),
+            (b"ok\n\xff\xfe\nafter\n", vec![line("ok"), "Err(InvalidData)".to_string()]),
+        ];
+        for (script, expected) in cases {
+            let whole = read_all(script, cap);
+            let trickled = read_all(Trickle { data: script, tick: false }, cap);
+            assert_eq!(whole, expected, "slice run of {script:?}");
+            assert_eq!(trickled, expected, "trickled run of {script:?}");
+        }
+    }
+
+    #[test]
+    fn the_line_loop_answers_guards_in_protocol_and_reports_its_end() {
+        let input: &[u8] = b"# note\n\n ping \n0123456789\npong\n\xff\nnever\n";
+        let mut out = Vec::new();
+        let report = serve_lines(input, &mut out, 8, None, |l| format!("<{l}>")).unwrap();
+        assert!(matches!(report.end, LoopEnd::ReadFailed(ref e) if e.code() == "io"));
+        assert_eq!(report.answered, 4);
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines[0], "<ping>");
+        assert!(lines[1].contains("\"code\":\"protocol\"") && lines[1].contains("(8)"), "{out}");
+        assert_eq!(lines[2], "<pong>");
+        assert!(lines[3].contains("\"code\":\"io\""), "{out}");
+    }
+
+    #[test]
+    fn a_panicking_connection_gives_its_slot_back() {
+        let active = Arc::new(AtomicUsize::new(0));
+        let slot = ConnectionSlot::take(&active);
+        assert_eq!(active.load(Ordering::SeqCst), 1);
+        let outcome = std::thread::spawn(move || {
+            let _slot = slot;
+            panic!("request panicked mid-connection");
+        })
+        .join();
+        assert!(outcome.is_err(), "the connection thread panicked");
+        assert_eq!(active.load(Ordering::SeqCst), 0);
     }
 }

@@ -68,11 +68,6 @@ fn depth_guard(line: &str) -> Result<(), ServiceError> {
     Ok(())
 }
 
-/// Ordered-object key lookup.
-fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
 /// Wraps a payload in the `{"v":VERSION, <key>: payload}` envelope.
 fn encode(key: &str, payload: Value) -> String {
     let envelope =
@@ -80,28 +75,30 @@ fn encode(key: &str, payload: Value) -> String {
     serde_json::to_string(&envelope).expect("wire payloads contain only finite floats")
 }
 
-/// Unwraps the `{"v":VERSION, <key>: payload}` envelope, moving the
-/// payload out of the parsed tree (no clone — `ApplyOps` batches can
-/// carry full per-user interest vectors).
-fn decode(line: &str, key: &str) -> Result<Value, ServiceError> {
+/// Unwraps the `{"v":VERSION, <key>: payload}` envelope — the one envelope
+/// parser every decoder goes through. Returns the payload, moved out of
+/// the parsed tree (no clone — `ApplyOps` batches can carry full per-user
+/// interest vectors), and the raw `"session"` value, if any.
+fn decode(line: &str, key: &str) -> Result<(Value, Option<Value>), ServiceError> {
     depth_guard(line)?;
     let value: Value =
         serde_json::from_str(line).map_err(|e| ServiceError::protocol(e.to_string()))?;
     let Value::Object(mut obj) = value else {
         return Err(ServiceError::protocol("envelope must be a JSON object"));
     };
-    let v = get(&obj, "v").ok_or_else(|| ServiceError::protocol("missing version field \"v\""))?;
+    let mut take =
+        |k: &str| obj.iter().position(|(name, _)| name == k).map(|i| obj.swap_remove(i).1);
+    let v = take("v").ok_or_else(|| ServiceError::protocol("missing version field \"v\""))?;
     let got = v
         .as_u64()
         .ok_or_else(|| ServiceError::protocol("version field \"v\" must be an integer"))?;
     if got != VERSION {
         return Err(ServiceError::UnsupportedVersion { got, supported: VERSION });
     }
-    let idx = obj
-        .iter()
-        .position(|(k, _)| k == key)
+    let session = take("session");
+    let payload = take(key)
         .ok_or_else(|| ServiceError::protocol(format!("missing payload field \"{key}\"")))?;
-    Ok(obj.swap_remove(idx).1)
+    Ok((payload, session))
 }
 
 /// Encodes one request line.
@@ -128,7 +125,7 @@ pub fn encode_request_for(session: &str, req: &Request) -> String {
 /// [`ServiceError::Protocol`] for malformed lines,
 /// [`ServiceError::UnsupportedVersion`] for a version mismatch.
 pub fn decode_request(line: &str) -> Result<Request, ServiceError> {
-    let payload = decode(line, "req")?;
+    let (payload, _) = decode(line, "req")?;
     Request::from_value(&payload).map_err(|e| ServiceError::protocol(e.to_string()))
 }
 
@@ -142,31 +139,14 @@ pub fn decode_request(line: &str) -> Result<Request, ServiceError> {
 /// As [`decode_request`]; additionally [`ServiceError::Protocol`] when
 /// `"session"` is present but not a string.
 pub fn decode_request_routed(line: &str) -> Result<(Request, Option<String>), ServiceError> {
-    depth_guard(line)?;
-    let value: Value =
-        serde_json::from_str(line).map_err(|e| ServiceError::protocol(e.to_string()))?;
-    let Value::Object(mut obj) = value else {
-        return Err(ServiceError::protocol("envelope must be a JSON object"));
-    };
-    let v = get(&obj, "v").ok_or_else(|| ServiceError::protocol("missing version field \"v\""))?;
-    let got = v
-        .as_u64()
-        .ok_or_else(|| ServiceError::protocol("version field \"v\" must be an integer"))?;
-    if got != VERSION {
-        return Err(ServiceError::UnsupportedVersion { got, supported: VERSION });
-    }
-    let session = match get(&obj, "session") {
+    let (payload, session) = decode(line, "req")?;
+    let session = match session {
         None => None,
-        Some(Value::String(s)) => Some(s.clone()),
+        Some(Value::String(s)) => Some(s),
         Some(_) => {
             return Err(ServiceError::protocol("envelope field \"session\" must be a string"))
         }
     };
-    let idx = obj
-        .iter()
-        .position(|(k, _)| k == "req")
-        .ok_or_else(|| ServiceError::protocol("missing payload field \"req\""))?;
-    let payload = obj.swap_remove(idx).1;
     let req = Request::from_value(&payload).map_err(|e| ServiceError::protocol(e.to_string()))?;
     Ok((req, session))
 }
@@ -182,7 +162,7 @@ pub fn encode_response(resp: &Response) -> String {
 /// [`ServiceError::Protocol`] for malformed lines,
 /// [`ServiceError::UnsupportedVersion`] for a version mismatch.
 pub fn decode_response(line: &str) -> Result<Response, ServiceError> {
-    let payload = decode(line, "resp")?;
+    let (payload, _) = decode(line, "resp")?;
     Response::from_value(&payload).map_err(|e| ServiceError::protocol(e.to_string()))
 }
 

@@ -28,8 +28,9 @@
 //! server** instead: many named sessions in one process, serialized
 //! writes with concurrent lock-free reads per session, graceful
 //! SIGTERM/SIGINT drain — see `ses_algorithms::service::net` for the
-//! whole contract. The stdio path below is untouched by `--listen`
-//! (and its golden transcripts stay byte-identical).
+//! whole contract. Both transports open sessions with the same
+//! `SessionBackend::open` and read, guard and answer lines with the same
+//! `net::serve_lines` loop.
 //!
 //! All diagnostics go to **stderr** — stdout carries nothing but response
 //! lines, which is what makes `ses serve < script | diff - golden` a
@@ -40,13 +41,11 @@ use crate::args::Args;
 use crate::commands::{
     apply_constraints_flag, dataset_from_flags, input_instance_flag, storage_from_flags,
 };
-use ses_algorithms::service::net::{self, read_capped_line, LineRead, DEFAULT_SESSION};
-use ses_algorithms::service::wire;
-use ses_algorithms::{DurableService, NetConfig, Response, SesService, SessionBackend};
+use ses_algorithms::service::net::{self, LoopEnd, DEFAULT_SESSION};
+use ses_algorithms::{NetConfig, SessionBackend};
 use ses_core::error::{ServiceError, SERVICE_PROTOCOL_VERSION};
 use ses_core::parallel::Threads;
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Duration;
 
 /// Default `--max-line-bytes`: 16 MiB holds any reasonable `ApplyOps`
@@ -93,7 +92,17 @@ pub fn exec(args: &Args) -> Result<(), ServiceError> {
     };
     let (users, events, intervals) = (inst.num_users(), inst.num_events(), inst.num_intervals());
     let family = apply_constraints_flag(args, &mut inst, seed)?;
-    let rules = inst.constraints.len();
+    let header = format!(
+        "# ses serve: protocol v{SERVICE_PROTOCOL_VERSION}, dataset={} |U|={users} |E|={events} \
+         |T|={intervals} seed={seed} threads={threads}{}",
+        dataset.name(),
+        match family {
+            Some(f) => format!(" constraints={}({} rules)", f.name(), inst.constraints.len()),
+            None => String::new(),
+        },
+    );
+    let state_dir = args.opt_flag("state-dir").map(PathBuf::from);
+    let snapshot_every = args.num_flag("snapshot-ops", DEFAULT_SNAPSHOT_OPS)?;
 
     if let Some(addr) = args.opt_flag("listen") {
         // Networked multi-session serving: the net module owns the whole
@@ -114,121 +123,36 @@ pub fn exec(args: &Args) -> Result<(), ServiceError> {
             max_connections,
             max_line_bytes,
             idle_timeout: (idle_ms > 0).then(|| Duration::from_millis(idle_ms)),
-            state_dir: args.opt_flag("state-dir").map(PathBuf::from),
-            snapshot_every: args.num_flag("snapshot-ops", DEFAULT_SNAPSHOT_OPS)?,
+            state_dir,
+            snapshot_every,
             threads,
         };
-        eprintln!(
-            "# ses serve: protocol v{SERVICE_PROTOCOL_VERSION}, dataset={} |U|={users} \
-             |E|={events} |T|={intervals} seed={seed} threads={threads}{} — TCP multi-session mode",
-            dataset.name(),
-            match family {
-                Some(f) => format!(" constraints={}({rules} rules)", f.name()),
-                None => String::new(),
-            },
-        );
+        eprintln!("{header} — TCP multi-session mode");
         net::serve(&cfg, inst)?;
         return Ok(());
     }
 
-    let session = match args.opt_flag("state-dir") {
-        None => SessionBackend::Plain(SesService::new(inst).with_threads(threads)),
-        Some(dir) => {
-            let snapshot_every = args.num_flag("snapshot-ops", DEFAULT_SNAPSHOT_OPS)?;
-            let (svc, report) =
-                DurableService::open(Path::new(dir), inst, threads, snapshot_every)?;
-            if report.fresh {
-                eprintln!(
-                    "# ses serve [session:{DEFAULT_SESSION}]: state-dir={dir} fresh durable \
-                     session (generation 0)"
-                );
-            } else {
-                // Recovery wins over the dataset flags: the instance the
-                // session answers from is the recovered one.
-                let torn = match report.torn {
-                    Some(at) => format!(", torn final record truncated at byte {at}"),
-                    None => String::new(),
-                };
-                let fell = match report.fell_back {
-                    0 => String::new(),
-                    n => format!(", fell back past {n} corrupt snapshot(s)"),
-                };
-                eprintln!(
-                    "# ses serve [session:{DEFAULT_SESSION}]: state-dir={dir} recovered \
-                     generation {} ({} log records replayed{torn}{fell}); dataset flags ignored",
-                    report.generation, report.replayed,
-                );
-            }
-            SessionBackend::Durable(svc)
-        }
-    };
-    let mut session = session;
-    eprintln!(
-        "# ses serve: protocol v{SERVICE_PROTOCOL_VERSION}, dataset={} |U|={users} |E|={events} \
-         |T|={intervals} seed={seed} threads={threads}{} — one JSON request per line, EOF ends",
-        dataset.name(),
-        match family {
-            Some(f) => format!(" constraints={}({rules} rules)", f.name()),
-            None => String::new(),
-        },
-    );
-
-    let mut stdin = std::io::stdin().lock();
-    let mut stdout = std::io::stdout().lock();
-    // Counts every answered line — including ones that failed wire
-    // decoding, which the session's own counters do not see.
-    let mut answered = 0u64;
-    loop {
-        let line = match read_capped_line(&mut stdin, max_line_bytes) {
-            Ok(LineRead::Eof) => break,
-            Ok(LineRead::Line(line)) => line,
-            Ok(LineRead::Oversized) => {
-                // Guarded input: answer in-protocol and keep serving.
-                let err = ServiceError::protocol(format!(
-                    "request line exceeds --max-line-bytes ({max_line_bytes})"
-                ));
-                let resp = wire::encode_response(&Response::Error {
-                    code: err.code().to_string(),
-                    message: err.to_string(),
-                });
-                writeln!(stdout, "{resp}")?;
-                stdout.flush()?;
-                answered += 1;
-                continue;
-            }
-            Err(e) => {
-                // A failed read must not abort mid-session with no
-                // response: answer with one io-coded Error line, note it
-                // on stderr, and wind down as cleanly as EOF. (Client
-                // scripts keyed on response count stay in sync — every
-                // submitted line up to the bad byte has been answered.)
-                let err = ServiceError::from(e);
-                let resp = wire::encode_response(&Response::Error {
-                    code: err.code().to_string(),
-                    message: err.to_string(),
-                });
-                writeln!(stdout, "{resp}")?;
-                stdout.flush()?;
-                answered += 1;
-                eprintln!(
-                    "# ses serve [session:{DEFAULT_SESSION}]: stdin read failed ({err}); \
-                     ending session"
-                );
-                break;
-            }
-        };
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let response = session.handle_line(trimmed);
-        writeln!(stdout, "{response}")?;
-        stdout.flush()?;
-        answered += 1;
+    // Stdio: one bare session (no manager, so no read-view republishing),
+    // answered through the same line loop a TCP connection runs.
+    let (mut session, boot) =
+        SessionBackend::open(DEFAULT_SESSION, inst, threads, state_dir.as_deref(), snapshot_every)?;
+    eprintln!("{}", boot.banner());
+    eprintln!("{header} — one JSON request per line, EOF ends");
+    let report = net::serve_lines(
+        std::io::stdin().lock(),
+        std::io::stdout().lock(),
+        max_line_bytes,
+        None,
+        |line| session.handle_line(line),
+    )?;
+    if let LoopEnd::ReadFailed(err) = &report.end {
+        eprintln!(
+            "# ses serve [session:{DEFAULT_SESSION}]: stdin read failed ({err}); ending session"
+        );
     }
     eprintln!(
-        "# ses serve [session:{DEFAULT_SESSION}]: EOF after {answered} request lines ({} ops \
-         applied)",
+        "# ses serve [session:{DEFAULT_SESSION}]: EOF after {} request lines ({} ops applied)",
+        report.answered,
         session.ops_applied()
     );
     Ok(())
