@@ -9,13 +9,20 @@
 //!   the same baseline stream as the timings — the bench **asserts** the
 //!   acceptance bar `compressed ≤ sparse / 3` before recording;
 //! * steady-state work on the compressed layout: one Eq.-4
-//!   `assignment_score` (t1/t4, bit-identical across the dimension) and
-//!   one INC end-to-end schedule.
+//!   `assignment_score` (t1/t4, bit-identical across the dimension), one
+//!   INC end-to-end schedule, and one Ω(S) evaluation (`total_utility`) of
+//!   that schedule;
+//! * one `delta::apply` per sample for `ShiftInterest`, `RemoveEvent` and
+//!   `AddUsers`, on the sparse and compressed layouts — the per-op cost of
+//!   the in-place edits, which a return to whole-matrix re-encodes would
+//!   multiply.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ses_algorithms::SchedulerKind;
 use ses_bench::{record_gauge, threaded_label, Threads, BENCH_THREADS};
-use ses_core::model::StorageKind;
+use ses_core::delta::{self, DeltaOp, NewUser};
+use ses_core::model::{Instance, StorageKind};
+use ses_core::scoring::utility::total_utility;
 use ses_core::scoring::ScoringEngine;
 use ses_core::{EventId, IntervalId};
 use ses_datasets::{scale, InterestModel, SyntheticParams};
@@ -58,6 +65,32 @@ fn bench(c: &mut Criterion) {
     record_gauge("scale_100k/heap_bytes/sparse", sb as u64);
     record_gauge("scale_100k/heap_bytes/compressed", cb as u64);
     record_gauge("scale_100k/heap_bytes/instance_compressed", compressed.heap_bytes() as u64);
+
+    // One delta op per sample on a private copy of each layout. Each op
+    // mutates the copy (the next sample sees the edited matrix); the drift
+    // over a few samples is far below the costs compared here.
+    group.sample_size(10);
+    for (kind, inst) in [(StorageKind::Sparse, &sparse), (StorageKind::Compressed, &compressed)] {
+        for (name, op) in [
+            ("shift_interest", shift_op as OpFn),
+            ("remove_event", remove_op),
+            ("add_users", add_users_op),
+        ] {
+            let mut live = inst.clone();
+            let mut i = 0;
+            group.bench_with_input(
+                BenchmarkId::new(format!("delta_apply/{name}"), kind.name()),
+                &kind,
+                |b, _| {
+                    b.iter(|| {
+                        i += 1;
+                        let op = op(&live, i);
+                        delta::apply(&mut live, &op).expect("op valid")
+                    })
+                },
+            );
+        }
+    }
     drop(sparse);
 
     for threads in BENCH_THREADS {
@@ -75,7 +108,46 @@ fn bench(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("inc_end_to_end", "compressed/t4"), &K, |b, &k| {
         b.iter(|| black_box(SchedulerKind::Inc.run_threaded(&compressed, k, Threads::new(4))))
     });
+
+    // Ω(S) of that schedule — the evaluator every repair and every cold
+    // run reports through, streamed one column at a time.
+    let schedule = SchedulerKind::Inc.run_threaded(&compressed, K, Threads::new(1)).schedule;
+    group.sample_size(10);
+    group.bench_with_input(BenchmarkId::new("total_utility", "compressed"), &K, |b, _| {
+        b.iter(|| black_box(total_utility(&compressed, &schedule)))
+    });
     group.finish();
+}
+
+/// Builds the `i`-th op of one delta arm against the current instance.
+type OpFn = fn(&Instance, usize) -> DeltaOp;
+
+/// A drift on a spread-out cell, cycling through the quantized levels.
+fn shift_op(inst: &Instance, i: usize) -> DeltaOp {
+    DeltaOp::ShiftInterest {
+        event: EventId::new(i * 7 % inst.num_events()),
+        user: i * 7919 % inst.num_users(),
+        interest: (i % 255 + 1) as f64 / 256.0,
+    }
+}
+
+/// Cancels event 0, so every later column shifts down.
+fn remove_op(_: &Instance, _: usize) -> DeltaOp {
+    DeltaOp::RemoveEvent { event: EventId::new(0) }
+}
+
+/// Four joiners (the op generator's default batch) with quantized interest.
+fn add_users_op(inst: &Instance, i: usize) -> DeltaOp {
+    let level = |j: usize| ((i + j) % 255 + 1) as f64 / 256.0;
+    let users = (0..4)
+        .map(|u| NewUser {
+            event_interest: (0..inst.num_events()).map(|e| level(u + e)).collect(),
+            competing_interest: (0..inst.num_competing()).map(|c| level(u + c)).collect(),
+            activity: (0..inst.num_intervals()).map(|t| level(u + t)).collect(),
+            weight: None,
+        })
+        .collect();
+    DeltaOp::AddUsers { users }
 }
 
 criterion_group!(benches, bench);

@@ -554,9 +554,10 @@ fn query_on(
                 });
             }
             let e = &inst.events[event];
-            let users = inst.num_users();
-            let mean_interest =
-                (0..users).map(|u| inst.event_interest.value(event, u)).sum::<f64>() / users as f64;
+            // O(1) from the cached column sum: values are non-negative, so
+            // the absent users' zero addends leave the per-user fold's bits
+            // unchanged.
+            let mean_interest = inst.event_interest.column_sum(event) / inst.num_users() as f64;
             let scheduled_at =
                 last.and_then(|l| l.schedule.interval_of(EventId::new(event))).map(|t| t.index());
             Ok(QueryReply::Event {
@@ -1450,6 +1451,59 @@ mod tests {
             other => panic!("wrong reply {other:?}"),
         }
         assert_eq!(svc.query(&Query::User { user: 99 }).unwrap_err().code(), "out-of-range");
+    }
+
+    /// `Query::Event` answers `mean_interest` from the cached column sum; it
+    /// must equal the per-user `value()` fold it replaced, bit for bit, on
+    /// every layout — after mutations, and for an all-zero column.
+    #[test]
+    fn event_mean_interest_matches_per_user_fold() {
+        use ses_core::delta::NewUser;
+        use ses_core::model::StorageKind;
+        for kind in StorageKind::ALL {
+            let mut inst = running_example();
+            inst.event_interest = inst.event_interest.convert_to(kind);
+            let mut svc = SesService::new(inst).with_threads(Threads::sequential());
+            let (competing, intervals) =
+                (svc.instance().num_competing(), svc.instance().num_intervals());
+            let mut ops = vec![
+                DeltaOp::ShiftInterest { event: EventId::new(0), user: 1, interest: 0.37 },
+                DeltaOp::ShiftInterest { event: EventId::new(2), user: 0, interest: 0.0 },
+                DeltaOp::AddUsers {
+                    users: vec![NewUser {
+                        event_interest: vec![0.1, 0.0, 0.3, 0.7],
+                        competing_interest: vec![0.2; competing],
+                        activity: vec![0.5; intervals],
+                        weight: None,
+                    }],
+                },
+                DeltaOp::AddEvent {
+                    event: Event::new(LocationId::new(3), 1.0),
+                    interest: vec![0.0; 3],
+                },
+                DeltaOp::RemoveEvent { event: EventId::new(1) },
+            ];
+            // Zero out event 0 entirely.
+            ops.extend((0..3).map(|user| DeltaOp::ShiftInterest {
+                event: EventId::new(0),
+                user,
+                interest: 0.0,
+            }));
+            svc.apply_ops(&ops).unwrap();
+            let inst = svc.instance();
+            assert_eq!(inst.event_interest.column_sum(0), 0.0);
+            for event in 0..inst.num_events() {
+                let users = inst.num_users();
+                let fold = (0..users).map(|u| inst.event_interest.value(event, u)).sum::<f64>()
+                    / users as f64;
+                match svc.query(&Query::Event { event }).unwrap() {
+                    QueryReply::Event { mean_interest, .. } => {
+                        assert_eq!(mean_interest.to_bits(), fold.to_bits(), "{kind} event {event}");
+                    }
+                    other => panic!("wrong reply {other:?}"),
+                }
+            }
+        }
     }
 
     /// Dense services omit `storage`/`heap_bytes` entirely (old transcripts

@@ -176,14 +176,13 @@ pub fn coalesce(base: &Instance, window: &[DeltaOp]) -> Result<Vec<DeltaOp>, Coa
     }
 
     // --- (c) AddEvent: surviving announcements, final tail order ---------
-    // The user set is final after (a)+(b), so each column is read at full
-    // final width.
+    // The user set is final after (a)+(b), so each column is read once, at
+    // full final width, zeros filled in.
     for (pos, slot) in ev_slots.iter().enumerate() {
         if slot.is_none() {
-            out.push(DeltaOp::AddEvent {
-                event: cur.events[pos].clone(),
-                interest: (0..cur.num_users()).map(|u| cur.event_interest.value(pos, u)).collect(),
-            });
+            let mut interest = vec![0.0; cur.num_users()];
+            cur.event_interest.column(pos).for_each(|(u, v)| interest[u] = v);
+            out.push(DeltaOp::AddEvent { event: cur.events[pos].clone(), interest });
         }
     }
 

@@ -28,11 +28,17 @@
 //! delta layer, the stream repairer, the constraint gate — produces the
 //! same output bits on `Compressed` as on `Sparse`, at any thread count.
 //!
-//! Mutations favour correctness over speed: `push_item` appends
-//! incrementally (the streaming-generation hot path), while point edits
-//! (`set_value`, `remove_item`, user churn) decode and re-encode the
-//! matrix, re-interning the dictionary in canonical first-use order. Delta
-//! streams run at test scale; the million-user path is build-once.
+//! **Mutations edit in place.** `push_item` appends at the tail; a point
+//! edit (`set_value`) splices one entry into or out of one block and
+//! shifts the later block directory; `remove_item` drains one item's
+//! slices; user churn (`append_users`, `remove_users`) re-blocks every
+//! column from its carried codes. Only the touched blocks convert between
+//! full and partial, only the touched columns recompute their sums, and no
+//! stored entry is decoded or re-interned. Every mutation ends with the
+//! dictionary in the canonical form an encode from scratch produces
+//! (first-use order, no dead codes, narrow codes while they fit), so a
+//! mutated matrix is `==` — and serializes byte-identically — to a fresh
+//! `to_compressed` of the same values.
 
 use super::interest::{stored_sum, user_keep_mask};
 use crate::parallel::PAR_BLOCK;
@@ -116,19 +122,200 @@ impl CodeVec {
         }
     }
 
+    /// Promotes narrow → wide if `code` doesn't fit `u16`.
+    fn widen_for(&mut self, code: u32) {
+        if let Self::Narrow(v) = self {
+            if code > u16::MAX as u32 {
+                *self = Self::Wide(v.iter().map(|&c| c as u32).collect());
+            }
+        }
+    }
+
     /// Appends one code, promoting narrow → wide on the first code that
     /// doesn't fit.
     fn push(&mut self, code: u32) {
-        if let Self::Narrow(v) = self {
-            if let Ok(c) = u16::try_from(code) {
-                v.push(c);
-                return;
+        self.widen_for(code);
+        match self {
+            Self::Narrow(v) => v.push(code as u16),
+            Self::Wide(v) => v.push(code),
+        }
+    }
+
+    /// Inserts one code at `i`, promoting like [`push`](Self::push).
+    fn insert(&mut self, i: usize, code: u32) {
+        self.widen_for(code);
+        match self {
+            Self::Narrow(v) => v.insert(i, code as u16),
+            Self::Wide(v) => v.insert(i, code),
+        }
+    }
+
+    /// Overwrites the code at `i`, promoting like [`push`](Self::push).
+    fn set(&mut self, i: usize, code: u32) {
+        self.widen_for(code);
+        match self {
+            Self::Narrow(v) => v[i] = code as u16,
+            Self::Wide(v) => v[i] = code,
+        }
+    }
+
+    fn remove(&mut self, i: usize) {
+        match self {
+            Self::Narrow(v) => drop(v.remove(i)),
+            Self::Wide(v) => drop(v.remove(i)),
+        }
+    }
+
+    fn drain(&mut self, range: std::ops::Range<usize>) {
+        match self {
+            Self::Narrow(v) => drop(v.drain(range)),
+            Self::Wide(v) => drop(v.drain(range)),
+        }
+    }
+
+    /// One more than the largest code before `pos` (0 for `pos == 0`). In
+    /// a canonical prefix that is the number of distinct codes it uses.
+    fn prefix_next(&self, pos: usize) -> u32 {
+        if pos == 0 {
+            return 0;
+        }
+        // A `fold` over `max` vectorizes where `Iterator::max` does not.
+        let max = match self {
+            Self::Narrow(v) => v[..pos].iter().fold(0, |m, &c| m.max(c)) as u32,
+            Self::Wide(v) => v[..pos].iter().fold(0, |m, &c| m.max(c)),
+        };
+        max + 1
+    }
+
+    /// Whether `code` occurs at or after `from`.
+    fn occurs_from(&self, from: usize, code: u32) -> bool {
+        match self {
+            Self::Narrow(v) => u16::try_from(code).is_ok_and(|c| v[from..].contains(&c)),
+            Self::Wide(v) => v[from..].contains(&code),
+        }
+    }
+
+    /// Renumbers the codes from `from` on after a point edit there whose
+    /// only effects on first-use ranks are: code `moved` (first used after
+    /// `from` until now) takes rank `next`, and code `dead` (which was rank
+    /// `next`) no longer occurs. Every other code keeps its relative order,
+    /// so the new numbering is one branch-free pass:
+    /// `c - [c > dead] + [next ≤ c < moved]`.
+    fn shift_ranks(&mut self, from: usize, next: u32, moved: Option<u32>, dead: Option<u32>) {
+        let (m, hi, d) =
+            (moved.unwrap_or(u32::MAX), moved.unwrap_or(next), dead.unwrap_or(u32::MAX));
+        let f = move |c: u32| {
+            if c == m {
+                next
+            } else {
+                c - (c > d) as u32 + (c >= next && c < hi) as u32
             }
-            *self = Self::Wide(v.iter().map(|&c| c as u32).collect());
+        };
+        match self {
+            Self::Narrow(v) => v[from..].iter_mut().for_each(|c| *c = f(*c as u32) as u16),
+            Self::Wide(v) => v[from..].iter_mut().for_each(|c| *c = f(*c)),
+        }
+    }
+
+    /// Where the codes stop being in canonical first-use order over a
+    /// dictionary of `dict_len` values (first occurrences reading
+    /// `0, 1, 2, …`, every code occurring), given that the codes before
+    /// `from` are in that order and use exactly `0..next`: `None` when the
+    /// whole vector is canonical, else `Some((pos, next))` — the codes
+    /// before `pos` are in order and use exactly `0..next`. Stops as soon
+    /// as the last code has appeared, on quantized data usually within the
+    /// first column.
+    fn first_use_break(&self, from: usize, next: u32, dict_len: usize) -> Option<(usize, u32)> {
+        fn scan(
+            codes: impl Iterator<Item = u32>,
+            from: usize,
+            mut next: u32,
+            n: u32,
+        ) -> Option<(usize, u32)> {
+            let mut end = from;
+            for (pos, c) in (from..).zip(codes) {
+                if next == n {
+                    return None;
+                }
+                if c >= next {
+                    if c != next {
+                        return Some((pos, next));
+                    }
+                    next += 1;
+                }
+                end = pos + 1;
+            }
+            (next != n).then_some((end, next))
+        }
+        let n = dict_len as u32;
+        match self {
+            Self::Narrow(v) => scan(v[from..].iter().map(|&c| c as u32), from, next, n),
+            Self::Wide(v) => scan(v[from..].iter().copied(), from, next, n),
+        }
+    }
+
+    /// Renumbers codes from `pos` on into first-use order, given that the
+    /// codes before `pos` are exactly `0..next` in first-use order (see
+    /// [`first_use_break`](Self::first_use_break)). Returns the new code
+    /// of each old code `next + i` at index `i` (`u32::MAX` for codes that
+    /// no longer occur), and the number that survive.
+    fn renumber_from(&mut self, pos: usize, next: u32, dict_len: usize) -> (Vec<u32>, usize) {
+        fn run<T: Copy + Into<u32>>(
+            codes: &mut [T],
+            next: u32,
+            dict_len: usize,
+            put: impl Fn(u32) -> T,
+        ) -> (Vec<u32>, usize) {
+            let mut table = vec![u32::MAX; dict_len - next as usize];
+            let mut survivors = 0;
+            for c in codes {
+                let old: u32 = (*c).into();
+                if old < next {
+                    continue;
+                }
+                let slot = &mut table[(old - next) as usize];
+                if *slot == u32::MAX {
+                    *slot = next + survivors as u32;
+                    survivors += 1;
+                }
+                *c = put(*slot);
+            }
+            (table, survivors)
         }
         match self {
-            Self::Wide(v) => v.push(code),
-            Self::Narrow(_) => unreachable!("narrow path returned above"),
+            Self::Narrow(v) => run(&mut v[pos..], next, dict_len, |c| c as u16),
+            Self::Wide(v) => run(&mut v[pos..], next, dict_len, |c| c),
+        }
+    }
+
+    /// Narrows wide codes to `u16` once a dictionary of `dict_len` values
+    /// fits — the width an encode from scratch would pick.
+    fn fit(&mut self, dict_len: usize) {
+        if let Self::Wide(v) = self {
+            if dict_len <= u16::MAX as usize + 1 {
+                *self = Self::Narrow(v.iter().map(|&c| c as u16).collect());
+            }
+        }
+    }
+
+    /// An empty vector of `like`'s width with room for `capacity` codes.
+    fn with_capacity_like(like: &Self, capacity: usize) -> Self {
+        match like {
+            Self::Narrow(_) => Self::Narrow(Vec::with_capacity(capacity)),
+            Self::Wide(_) => Self::Wide(Vec::with_capacity(capacity)),
+        }
+    }
+
+    /// Appends `other[range]`, widening like [`push`](Self::push).
+    fn extend_from(&mut self, other: &Self, range: std::ops::Range<usize>) {
+        if matches!((&*self, other), (Self::Narrow(_), Self::Wide(_))) {
+            self.widen_for(u32::MAX);
+        }
+        match (self, other) {
+            (Self::Narrow(v), Self::Narrow(o)) => v.extend_from_slice(&o[range]),
+            (Self::Wide(v), Self::Wide(o)) => v.extend_from_slice(&o[range]),
+            (Self::Wide(v), Self::Narrow(o)) => v.extend(o[range].iter().map(|&c| c as u32)),
+            (Self::Narrow(_), Self::Wide(_)) => unreachable!("widened above"),
         }
     }
 
@@ -173,19 +360,63 @@ impl ColumnBlock {
     }
 }
 
+/// Hash-map state for `f64` bit patterns: one multiply-xorshift round over
+/// the key XOR a per-process random seed. Far cheaper than SipHash on the
+/// interning paths, which probe every dictionary entry, while bucket
+/// placement stays unpredictable to a client choosing interest values.
+#[derive(Clone)]
+struct BitsState(u64);
+
+impl Default for BitsState {
+    fn default() -> Self {
+        static SEED: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
+        Self(*SEED.get_or_init(|| {
+            use std::hash::{BuildHasher, Hasher};
+            std::collections::hash_map::RandomState::new().build_hasher().finish()
+        }))
+    }
+}
+
+impl std::hash::BuildHasher for BitsState {
+    type Hasher = BitsHasher;
+
+    fn build_hasher(&self) -> BitsHasher {
+        BitsHasher(self.0)
+    }
+}
+
+struct BitsHasher(u64);
+
+impl std::hash::Hasher for BitsHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        let z = (x ^ self.0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = z ^ (z >> 29);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by `f64` bit patterns.
+type BitsMap<V> = HashMap<u64, V, BitsState>;
+
 /// Transient dictionary index used while encoding — the matrix itself never
 /// holds the hash map, only the plain `Vec<f64>` dictionary.
 #[derive(Default)]
 struct Interner {
-    by_bits: HashMap<u64, u32>,
+    by_bits: BitsMap<u32>,
 }
 
 impl Interner {
-    fn for_dict(dict: &[f64]) -> Self {
-        let by_bits = dict.iter().enumerate().map(|(i, v)| (v.to_bits(), i as u32)).collect();
-        Self { by_bits }
-    }
-
     #[inline]
     fn intern(&mut self, dict: &mut Vec<f64>, value: f64) -> u32 {
         *self.by_bits.entry(value.to_bits()).or_insert_with(|| {
@@ -193,6 +424,39 @@ impl Interner {
             (dict.len() - 1) as u32
         })
     }
+}
+
+/// Codes for a batch of non-zero `values` against `dict`: a value already
+/// in the dictionary keeps its code, and new values are appended in
+/// first-use order. The hash index covers the batch's distinct values
+/// only, so interning one column costs O(batch) memory however large the
+/// dictionary has grown.
+fn intern_new(dict: &mut Vec<f64>, values: &[f64]) -> Vec<u32> {
+    let mut slots: BitsMap<u32> = BitsMap::default();
+    let mut distinct = Vec::new();
+    let mut out: Vec<u32> = values
+        .iter()
+        .map(|&v| {
+            *slots.entry(v.to_bits()).or_insert_with(|| {
+                distinct.push(v);
+                (distinct.len() - 1) as u32
+            })
+        })
+        .collect();
+    let mut code = vec![u32::MAX; distinct.len()];
+    for (c, d) in dict.iter().enumerate() {
+        if let Some(&slot) = slots.get(&d.to_bits()) {
+            code[slot as usize] = c as u32;
+        }
+    }
+    for (slot, &v) in distinct.iter().enumerate() {
+        if code[slot] == u32::MAX {
+            code[slot] = dict.len() as u32;
+            dict.push(v);
+        }
+    }
+    out.iter_mut().for_each(|s| *s = code[*s as usize]);
+    out
 }
 
 /// Dictionary-encoded, 512-aligned block-compressed interest storage. See
@@ -339,17 +603,27 @@ impl CompressedInterest {
         &self,
         item: usize,
         range: std::ops::Range<usize>,
+        f: impl FnMut(usize, f64),
+    ) {
+        let (pos, end, block_idx) = self.part_cursor(item, range);
+        self.for_each_entry(pos, end, block_idx, f);
+    }
+
+    /// Streams `(user, µ)` over absolute entry positions `pos..end`, block
+    /// by block; `block_idx` is a directory index at or before the block
+    /// holding `pos` (a [`super::ColumnIter::Compressed`] cursor).
+    pub(crate) fn for_each_entry(
+        &self,
+        mut pos: usize,
+        end: usize,
+        mut block_idx: usize,
         mut f: impl FnMut(usize, f64),
     ) {
-        assert!(range.end <= self.column_len(item), "range exceeds column length");
-        if range.start >= range.end {
-            return;
-        }
-        let mut pos = self.entry_ptr[item] + range.start;
-        let end = self.entry_ptr[item] + range.end;
-        let mut bi = self.block_of(item, pos);
         while pos < end {
-            let b = &self.blocks[bi];
+            while self.blocks[block_idx].entry_end() <= pos {
+                block_idx += 1;
+            }
+            let b = &self.blocks[block_idx];
             let stop = end.min(b.entry_end());
             let base = b.base();
             if b.is_full() {
@@ -383,7 +657,7 @@ impl CompressedInterest {
                 }
             }
             pos = stop;
-            bi += 1;
+            block_idx += 1;
         }
     }
 
@@ -421,78 +695,68 @@ impl CompressedInterest {
         Some(out)
     }
 
-    /// Encodes one item's sorted non-zero column at the arrays' tails and
-    /// pushes its block directory, pointers, and cached sum. The core of
-    /// both the incremental `push_item` and the rebuild paths.
+    /// Encodes one item's sorted non-zero column at the arrays' tails,
+    /// interning each value, and closes the item. The core of the builder
+    /// and the rebuild path.
     fn encode_column(
         &mut self,
         entries: impl Iterator<Item = (u32, f64)>,
         interner: &mut Interner,
     ) {
-        let item_block_start = self.blocks.len();
+        let mut dict = std::mem::take(&mut self.dict);
         let mut sum = 0.0;
+        self.encode_codes(entries.map(|(user, value)| {
+            debug_assert!(value != 0.0, "zeros are dropped before encoding");
+            sum += value;
+            (user, interner.intern(&mut dict, value))
+        }));
+        self.dict = dict;
+        self.finish_item(sum);
+    }
+
+    /// Appends one item's `(user, code)` entries, users strictly
+    /// ascending, at the arrays' tails as a new item's blocks.
+    fn encode_codes(&mut self, entries: impl Iterator<Item = (u32, u32)>) {
+        let item_start = self.blocks.len();
         let mut prev: Option<u32> = None;
-        for (user, value) in entries {
+        for (user, code) in entries {
             assert!((user as usize) < self.num_users, "user {user} out of range");
             assert!(prev.is_none_or(|p| p < user), "column entries must be strictly increasing");
             prev = Some(user);
-            debug_assert!(value != 0.0, "zeros are dropped before encoding");
-            let block = user / COMPRESSED_BLOCK as u32;
-            let local = (user as usize % COMPRESSED_BLOCK) as u16;
-            // A new block starts on the item's first entry or when the user
-            // crosses a 512 boundary (entries arrive in ascending user
-            // order, so each block index appears as one contiguous run).
-            let needs_new = self.blocks.len() == item_block_start
-                || self.blocks.last().expect("item has blocks").block != block;
-            if needs_new {
-                self.blocks.push(ColumnBlock {
-                    block,
-                    len: 0,
-                    entry_start: self.codes.len(),
-                    offset_start: self.offsets.len(),
-                });
-            }
-            let code = interner.intern(&mut self.dict, value);
-            self.codes.push(code);
-            self.offsets.push(local);
-            let b = self.blocks.last_mut().expect("pushed above");
-            b.len += 1;
-            sum += value;
+            self.push_entry(item_start, user, code);
         }
-        // Full blocks drop their offsets: implicit users. (Done per item,
-        // after the fact, so the loop above stays branch-light.)
-        self.compact_full_block_offsets();
+    }
+
+    /// Appends one entry to the item whose blocks start at directory index
+    /// `item_start`; `user` exceeds every user already stored there. A new
+    /// block starts on the item's first entry or when the user crosses a
+    /// 512 boundary; a block that fills up drops its offsets (they are the
+    /// last ones stored), making its users implicit.
+    #[inline]
+    fn push_entry(&mut self, item_start: usize, user: u32, code: u32) {
+        let block = user / COMPRESSED_BLOCK as u32;
+        if self.blocks.len() == item_start || self.blocks[self.blocks.len() - 1].block != block {
+            self.blocks.push(ColumnBlock {
+                block,
+                len: 0,
+                entry_start: self.codes.len(),
+                offset_start: self.offsets.len(),
+            });
+        }
+        self.codes.push(code);
+        self.offsets.push((user as usize % COMPRESSED_BLOCK) as u16);
+        let b = self.blocks.last_mut().expect("pushed above");
+        b.len += 1;
+        if b.is_full() {
+            self.offsets.truncate(b.offset_start);
+        }
+    }
+
+    /// Closes the item being encoded: its pointers and cached sum.
+    fn finish_item(&mut self, sum: f64) {
         self.block_ptr.push(self.blocks.len());
         self.entry_ptr.push(self.codes.len());
         self.col_sums.push(sum);
-    }
-
-    /// Drops the stored offsets of every full block of the item currently
-    /// being finalized, shifting later offsets down.
-    fn compact_full_block_offsets(&mut self) {
-        let item_block_start = *self.block_ptr.last().expect("block_ptr is never empty");
-        let mut write = match self.blocks.get(item_block_start) {
-            Some(b) => b.offset_start,
-            None => return,
-        };
-        let mut read = write;
-        for bi in item_block_start..self.blocks.len() {
-            let (len, full) = {
-                let b = &self.blocks[bi];
-                (b.len as usize, b.is_full())
-            };
-            self.blocks[bi].offset_start = write;
-            if full {
-                read += len;
-            } else {
-                if read != write {
-                    self.offsets.copy_within(read..read + len, write);
-                }
-                read += len;
-                write += len;
-            }
-        }
-        self.offsets.truncate(write);
     }
 
     /// Appends one item column (dense input; zeros dropped) — incremental,
@@ -500,10 +764,11 @@ impl CompressedInterest {
     /// [`super::InterestMatrix::push_item`].
     pub fn push_item(&mut self, column: &[f64]) {
         assert_eq!(column.len(), self.num_users, "column length must equal user count");
-        let mut interner = Interner::for_dict(&self.dict);
-        let entries =
-            column.iter().enumerate().filter(|(_, &v)| v != 0.0).map(|(u, &v)| (u as u32, v));
-        self.encode_column(entries, &mut interner);
+        let values: Vec<f64> = column.iter().copied().filter(|&v| v != 0.0).collect();
+        let codes = intern_new(&mut self.dict, &values);
+        let users = column.iter().enumerate().filter(|(_, &v)| v != 0.0).map(|(u, _)| u as u32);
+        self.encode_codes(users.zip(codes));
+        self.finish_item(stored_sum(&values));
     }
 
     /// Decodes every column into sorted `(user, value)` entry lists.
@@ -520,9 +785,9 @@ impl CompressedInterest {
     }
 
     /// Rebuilds in place from decoded columns, re-interning the dictionary
-    /// in canonical first-use order (dead codes from prior removals are
-    /// dropped). All point mutations funnel through here — correctness over
-    /// speed; see the module docs.
+    /// in canonical first-use order and dropping stored zeros. Only
+    /// [`canonicalize`](Self::canonicalize) takes this path; every mutation
+    /// edits in place.
     fn rebuild_from(&mut self, num_users: usize, columns: Vec<Vec<(u32, f64)>>) {
         let mut fresh = Self::empty(num_users);
         let mut interner = Interner::default();
@@ -532,51 +797,363 @@ impl CompressedInterest {
         *self = fresh;
     }
 
-    /// Removes one item column. See [`super::InterestMatrix::remove_item`].
-    pub fn remove_item(&mut self, item: usize) {
-        assert!(item < self.num_items(), "item {item} out of range");
-        let mut cols = self.decode_columns();
-        cols.remove(item);
-        self.rebuild_from(self.num_users, cols);
+    /// Streams `(user, code)` over `item`'s stored entries in ascending
+    /// user order, without touching the dictionary.
+    fn for_each_code(&self, item: usize, mut f: impl FnMut(u32, u32)) {
+        fn run<T: Copy + Into<u32>>(
+            codes: &[T],
+            base: u32,
+            offsets: Option<&[u16]>,
+            f: &mut impl FnMut(u32, u32),
+        ) {
+            match offsets {
+                None => (0..).zip(codes).for_each(|(rel, &c)| f(base + rel, c.into())),
+                Some(offs) => {
+                    offs.iter().zip(codes).for_each(|(&o, &c)| f(base + o as u32, c.into()))
+                }
+            }
+        }
+        for b in &self.blocks[self.block_ptr[item]..self.block_ptr[item + 1]] {
+            let base = b.base() as u32;
+            let offsets = (!b.is_full())
+                .then(|| &self.offsets[b.offset_start..b.offset_start + b.len as usize]);
+            match &self.codes {
+                CodeVec::Narrow(v) => run(&v[b.entry_start..b.entry_end()], base, offsets, &mut f),
+                CodeVec::Wide(v) => run(&v[b.entry_start..b.entry_end()], base, offsets, &mut f),
+            }
+        }
     }
 
-    /// Sets one value, preserving the drop-exact-zeros convention. See
+    /// The global offset cursor at directory index `bi`: where block `bi`'s
+    /// local offsets start (or would start), `offsets.len()` past the end.
+    fn offset_at(&self, bi: usize) -> usize {
+        self.blocks.get(bi).map_or(self.offsets.len(), |b| b.offset_start)
+    }
+
+    /// Shifts everything after an edit of `item`: the entry and offset
+    /// starts of directory blocks `from_block..`, and the entry and block
+    /// pointers of the items after `item`.
+    fn shift_tail(
+        &mut self,
+        item: usize,
+        from_block: usize,
+        entries: isize,
+        offsets: isize,
+        blocks: isize,
+    ) {
+        for b in &mut self.blocks[from_block..] {
+            b.entry_start = b.entry_start.wrapping_add_signed(entries);
+            b.offset_start = b.offset_start.wrapping_add_signed(offsets);
+        }
+        for p in &mut self.entry_ptr[item + 1..] {
+            *p = p.wrapping_add_signed(entries);
+        }
+        if blocks != 0 {
+            for p in &mut self.block_ptr[item + 1..] {
+                *p = p.wrapping_add_signed(blocks);
+            }
+        }
+    }
+
+    /// Recomputes one cached column sum in [`stored_sum`]'s order.
+    fn refresh_sum(&mut self, item: usize) {
+        let mut sum = 0.0;
+        self.for_each_in_part(item, 0..self.column_len(item), |_, v| sum += v);
+        self.col_sums[item] = sum;
+    }
+
+    /// The code of `value`, appended to the dictionary if new. A linear
+    /// scan: the matrix keeps no hash index, and a point edit looks up one
+    /// value.
+    fn code_for(&mut self, value: f64) -> u32 {
+        let bits = value.to_bits();
+        match self.dict.iter().position(|d| d.to_bits() == bits) {
+            Some(code) => code as u32,
+            None => {
+                self.dict.push(value);
+                (self.dict.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Restores the canonical dictionary after an edit — the form an encode
+    /// from scratch gives: first-use order over the column-major entry
+    /// stream, no dead codes, `u16` codes while the dictionary fits.
+    fn canonicalize_dict(&mut self) {
+        self.canonicalize_dict_from(0, 0);
+    }
+
+    /// [`canonicalize_dict`](Self::canonicalize_dict) for an edit that left
+    /// positions before `pos` canonical, using codes `0..next` there. One
+    /// early-exiting scan from `pos` confirms the order; an out-of-order or
+    /// dead code costs one renumbering pass over the codes after the first
+    /// one out of place.
+    fn canonicalize_dict_from(&mut self, pos: usize, next: u32) {
+        let Some((pos, next)) = self.codes.first_use_break(pos, next, self.dict.len()) else {
+            return;
+        };
+        let (table, survivors) = self.codes.renumber_from(pos, next, self.dict.len());
+        let next = next as usize;
+        let mut last = None;
+        let keeps_order = table.iter().filter(|&&t| t != u32::MAX).all(|&t| {
+            let ascending = last.is_none_or(|l| l < t);
+            last = Some(t);
+            ascending
+        });
+        if keeps_order {
+            // Only dead codes dropped out (a cancelled event's own values,
+            // say): compact the dictionary in place.
+            let mut i = 0;
+            self.dict.retain(|_| {
+                let keep = i < next || table[i - next] != u32::MAX;
+                i += 1;
+                keep
+            });
+        } else {
+            let mut moved = vec![0.0; survivors];
+            for (i, &t) in table.iter().enumerate().filter(|(_, &t)| t != u32::MAX) {
+                moved[t as usize - next] = self.dict[next + i];
+            }
+            self.dict.truncate(next);
+            self.dict.extend_from_slice(&moved);
+        }
+        self.codes.fit(self.dict.len());
+    }
+
+    /// Removes entry `r` of directory block `bi` (one of `item`'s). A full
+    /// block turns partial and stores its surviving offsets; a block left
+    /// empty leaves the directory.
+    fn remove_entry(&mut self, item: usize, bi: usize, r: usize) {
+        let b = self.blocks[bi];
+        self.codes.remove(b.entry_start + r);
+        let offsets = if b.is_full() {
+            let survivors = (0..COMPRESSED_BLOCK as u16).filter(|&l| l as usize != r);
+            self.offsets.splice(b.offset_start..b.offset_start, survivors);
+            COMPRESSED_BLOCK as isize - 1
+        } else {
+            self.offsets.remove(b.offset_start + r);
+            -1
+        };
+        if b.len == 1 {
+            self.blocks.remove(bi);
+            self.shift_tail(item, bi, -1, offsets, -1);
+        } else {
+            self.blocks[bi].len -= 1;
+            self.shift_tail(item, bi + 1, -1, offsets, 0);
+        }
+    }
+
+    /// Inserts `(local, code)` at position `r` of partial block `bi` (one
+    /// of `item`'s). A block that fills up drops its offsets.
+    fn insert_entry(&mut self, item: usize, bi: usize, r: usize, local: u16, code: u32) {
+        let b = self.blocks[bi];
+        self.codes.insert(b.entry_start + r, code);
+        let offsets = if b.len as usize + 1 == COMPRESSED_BLOCK {
+            self.offsets.drain(b.offset_start..b.offset_start + b.len as usize);
+            -(b.len as isize)
+        } else {
+            self.offsets.insert(b.offset_start + r, local);
+            1
+        };
+        self.blocks[bi].len += 1;
+        self.shift_tail(item, bi + 1, 1, offsets, 0);
+    }
+
+    /// Inserts a one-entry block for user-range `block` at directory index
+    /// `bi` (inside `item`'s directory range, or at its end). Returns the
+    /// entry's position.
+    fn insert_block(&mut self, item: usize, bi: usize, block: u32, local: u16, code: u32) -> usize {
+        let entry_start = if bi < self.block_ptr[item + 1] {
+            self.blocks[bi].entry_start
+        } else {
+            self.entry_ptr[item + 1]
+        };
+        let offset_start = self.offset_at(bi);
+        self.codes.insert(entry_start, code);
+        self.offsets.insert(offset_start, local);
+        self.blocks.insert(bi, ColumnBlock { block, len: 1, entry_start, offset_start });
+        self.shift_tail(item, bi + 1, 1, 1, 1);
+        entry_start
+    }
+
+    /// Removes one item column in place: drains its codes, offsets and
+    /// blocks. See [`super::InterestMatrix::remove_item`].
+    pub fn remove_item(&mut self, item: usize) {
+        assert!(item < self.num_items(), "item {item} out of range");
+        let (b0, b1) = (self.block_ptr[item], self.block_ptr[item + 1]);
+        let (e0, e1) = (self.entry_ptr[item], self.entry_ptr[item + 1]);
+        let (o0, o1) = (self.offset_at(b0), self.offset_at(b1));
+        self.codes.drain(e0..e1);
+        self.offsets.drain(o0..o1);
+        self.blocks.drain(b0..b1);
+        let shrink = |n: usize| -(n as isize);
+        self.shift_tail(item, b0, shrink(e1 - e0), shrink(o1 - o0), shrink(b1 - b0));
+        self.block_ptr.remove(item + 1);
+        self.entry_ptr.remove(item + 1);
+        self.col_sums.remove(item);
+        let next = self.codes.prefix_next(e0);
+        self.canonicalize_dict_from(e0, next);
+    }
+
+    /// Sets one value in place, preserving the drop-exact-zeros convention:
+    /// overwrites, inserts or removes one entry of one block. See
     /// [`super::InterestMatrix::set_value`].
     pub fn set_value(&mut self, item: usize, user: usize, value: f64) {
         assert!(item < self.num_items(), "item {item} out of range");
         assert!(user < self.num_users, "user {user} out of range");
-        let mut cols = self.decode_columns();
-        let col = &mut cols[item];
-        match col.binary_search_by_key(&(user as u32), |&(u, _)| u) {
-            Ok(i) if value != 0.0 => col[i].1 = value,
-            Ok(i) => {
-                col.remove(i);
-            }
-            Err(_) if value == 0.0 => {}
-            Err(i) => col.insert(i, (user as u32, value)),
+        let (lo, hi) = (self.block_ptr[item], self.block_ptr[item + 1]);
+        let block = (user / COMPRESSED_BLOCK) as u32;
+        let local = (user % COMPRESSED_BLOCK) as u16;
+        // The edited entry position, and the codes it loses and gains.
+        let (pos, removed, added) =
+            match self.blocks[lo..hi].binary_search_by_key(&block, |b| b.block) {
+                Ok(k) => {
+                    let b = self.blocks[lo + k];
+                    let rel = if b.is_full() {
+                        Ok(local as usize)
+                    } else {
+                        self.offsets[b.offset_start..b.offset_start + b.len as usize]
+                            .binary_search(&local)
+                    };
+                    match rel {
+                        Ok(r) if value != 0.0 => {
+                            let (pos, old) = (b.entry_start + r, self.codes.get(b.entry_start + r));
+                            let code = self.code_for(value);
+                            if code == old {
+                                return;
+                            }
+                            self.codes.set(pos, code);
+                            (pos, Some(old), Some(code))
+                        }
+                        Ok(r) => {
+                            let (pos, old) = (b.entry_start + r, self.codes.get(b.entry_start + r));
+                            self.remove_entry(item, lo + k, r);
+                            (pos, Some(old), None)
+                        }
+                        Err(_) if value == 0.0 => return,
+                        Err(r) => {
+                            let code = self.code_for(value);
+                            self.insert_entry(item, lo + k, r, local, code);
+                            (b.entry_start + r, None, Some(code))
+                        }
+                    }
+                }
+                Err(_) if value == 0.0 => return,
+                Err(k) => {
+                    let code = self.code_for(value);
+                    let pos = self.insert_block(item, lo + k, block, local, code);
+                    (pos, None, Some(code))
+                }
+            };
+        self.refresh_sum(item);
+        // The prefix before `pos` is untouched and canonical, so the codes
+        // it uses are exactly `0..next`. The order survives when the lost
+        // code still occurs in that prefix and the gained one is at most the
+        // next new code; otherwise renumber from `pos`.
+        let next = self.codes.prefix_next(pos);
+        if removed.is_some_and(|a| a >= next) || added.is_some_and(|b| b > next) {
+            self.rerank_after_edit(pos, next, removed, added);
         }
-        self.rebuild_from(self.num_users, cols);
     }
 
-    /// Appends new users (zeros dropped). See
-    /// [`super::InterestMatrix::append_users`].
+    /// Restores the canonical order after a point edit at `pos` (codes
+    /// before `pos` untouched, using `0..next`) that lost `removed` and
+    /// gained `added`. The gained code, if first used at `pos` now, takes
+    /// rank `next`; the lost one, if `pos` was its first use, either dies
+    /// or moves its first use later. Every case but the last is one
+    /// [`CodeVec::shift_ranks`] pass and a dictionary splice; the last
+    /// takes the general path.
+    fn rerank_after_edit(
+        &mut self,
+        pos: usize,
+        next: u32,
+        removed: Option<u32>,
+        added: Option<u32>,
+    ) {
+        let lost_first = removed.filter(|&a| a >= next);
+        if lost_first.is_some_and(|a| self.codes.occurs_from(pos, a)) {
+            return self.canonicalize_dict_from(pos, next);
+        }
+        let moved = added.filter(|&b| b > next);
+        self.codes.shift_ranks(pos, next, moved, lost_first);
+        let value = moved.map(|b| self.dict[b as usize]);
+        let mut code = 0u32;
+        self.dict.retain(|_| {
+            let keep = Some(code) != moved && Some(code) != lost_first;
+            code += 1;
+            keep
+        });
+        if let Some(v) = value {
+            self.dict.insert(next as usize, v);
+        }
+        self.codes.fit(self.dict.len());
+    }
+
+    /// Starts an empty matrix over `num_users` that takes over `self`'s
+    /// dictionary and code width, returning the old matrix to copy from —
+    /// the user-churn paths, whose edits move entries in every column.
+    fn take_for_rewrite(&mut self, num_users: usize, extra: usize) -> Self {
+        let mut old = std::mem::replace(self, Self::empty(num_users));
+        self.dict = std::mem::take(&mut old.dict);
+        self.codes = CodeVec::with_capacity_like(&old.codes, old.nnz() + extra);
+        self.offsets.reserve(old.offsets.len());
+        self.blocks.reserve(old.blocks.len());
+        old
+    }
+
+    /// Appends `old`'s column `item` verbatim — codes, offsets and blocks,
+    /// rebased — as the tail item being built. Returns its directory start.
+    fn copy_column(&mut self, old: &Self, item: usize) -> usize {
+        let (b0, b1) = (old.block_ptr[item], old.block_ptr[item + 1]);
+        let (e0, e1) = (old.entry_ptr[item], old.entry_ptr[item + 1]);
+        let (o0, o1) = (old.offset_at(b0), old.offset_at(b1));
+        let (entry_base, offset_base) = (self.codes.len(), self.offsets.len());
+        self.codes.extend_from(&old.codes, e0..e1);
+        self.offsets.extend_from_slice(&old.offsets[o0..o1]);
+        let item_start = self.blocks.len();
+        self.blocks.extend(old.blocks[b0..b1].iter().map(|b| ColumnBlock {
+            entry_start: b.entry_start - e0 + entry_base,
+            offset_start: b.offset_start - o0 + offset_base,
+            ..*b
+        }));
+        item_start
+    }
+
+    /// Appends new users (zeros dropped). Their entries land at every
+    /// column's tail: each column is copied verbatim and extended, and its
+    /// cached sum continues from the old one, in [`stored_sum`]'s order.
+    /// See [`super::InterestMatrix::append_users`].
     pub fn append_users(&mut self, rows: &[Vec<f64>]) {
         let num_items = self.num_items();
         for row in rows {
             assert_eq!(row.len(), num_items, "user row length must equal item count");
         }
-        let mut cols = self.decode_columns();
-        for (item, col) in cols.iter_mut().enumerate() {
-            for (j, row) in rows.iter().enumerate() {
-                if row[item] != 0.0 {
-                    col.push(((self.num_users + j) as u32, row[item]));
-                }
-            }
+        if rows.is_empty() {
+            return;
         }
-        self.rebuild_from(self.num_users + rows.len(), cols);
+        // The joiners' non-zeros, item by item: interned in one batch, then
+        // consumed in the same order as each column's tail is encoded.
+        let values: Vec<f64> =
+            (0..num_items).flat_map(|item| rows.iter().map(move |row| row[item])).collect();
+        let nonzero: Vec<f64> = values.iter().copied().filter(|&v| v != 0.0).collect();
+        let mut codes = intern_new(&mut self.dict, &nonzero).into_iter();
+        let first = self.num_users;
+        let old = self.take_for_rewrite(first + rows.len(), nonzero.len());
+        for (item, joiners) in values.chunks(rows.len()).enumerate() {
+            let item_start = self.copy_column(&old, item);
+            let mut sum = old.col_sums[item];
+            for (j, &v) in joiners.iter().enumerate().filter(|(_, &v)| v != 0.0) {
+                sum += v;
+                self.push_entry(item_start, (first + j) as u32, codes.next().expect("interned"));
+            }
+            self.finish_item(sum);
+        }
+        drop(old);
+        self.canonicalize_dict();
     }
 
-    /// Removes users, remapping surviving indices down. See
+    /// Removes users, remapping surviving indices down: each column is
+    /// re-blocked from its surviving codes, and its sum recomputed. See
     /// [`super::InterestMatrix::remove_users`].
     pub fn remove_users(&mut self, users: &[usize]) {
         let keep = user_keep_mask(self.num_users, users);
@@ -588,17 +1165,20 @@ impl CompressedInterest {
                 next += 1;
             }
         }
-        let cols = self
-            .decode_columns()
-            .into_iter()
-            .map(|col| {
-                col.into_iter()
-                    .filter(|&(u, _)| keep[u as usize])
-                    .map(|(u, v)| (remap[u as usize], v))
-                    .collect()
-            })
-            .collect();
-        self.rebuild_from(self.num_users - users.len(), cols);
+        let old = self.take_for_rewrite(self.num_users - users.len(), 0);
+        for item in 0..old.num_items() {
+            let item_start = self.blocks.len();
+            let mut sum = 0.0;
+            old.for_each_code(item, |u, c| {
+                if keep[u as usize] {
+                    sum += self.dict[c as usize];
+                    self.push_entry(item_start, remap[u as usize], c);
+                }
+            });
+            self.finish_item(sum);
+        }
+        drop(old);
+        self.canonicalize_dict();
     }
 
     /// Drops any stored exact zeros (possible only in hand-built or
@@ -611,25 +1191,73 @@ impl CompressedInterest {
         before - self.nnz()
     }
 
-    /// Validates internal consistency: sorted blocks, pointer monotonicity,
-    /// codes within the dictionary, and cached sums equal to a bitwise
-    /// recompute of the decoded columns.
+    /// Validates internal consistency: the block directory tiles `codes`
+    /// and `offsets` exactly (full blocks store no offsets), blocks and
+    /// offsets ascend, codes index a canonical dictionary at the canonical
+    /// width, and cached sums equal a bitwise recompute of the decoded
+    /// columns.
     pub fn check_consistency(&self) -> Result<(), String> {
-        if self.block_ptr.len() != self.entry_ptr.len() {
-            return Err("block_ptr / entry_ptr length mismatch".into());
+        if self.block_ptr.len() != self.entry_ptr.len() || self.col_sums.len() != self.num_items() {
+            return Err("block_ptr / entry_ptr / col_sums length mismatch".into());
         }
+        let (mut entry, mut offset) = (0, 0);
         for item in 0..self.num_items() {
+            let (lo, hi) = (self.block_ptr[item], self.block_ptr[item + 1]);
+            if lo > hi || hi > self.blocks.len() || self.entry_ptr[item] != entry {
+                return Err(format!("item {item}: pointers out of step"));
+            }
+            let mut prev_block = None;
+            for b in &self.blocks[lo..hi] {
+                let len = b.len as usize;
+                if b.entry_start != entry || b.offset_start != offset {
+                    return Err(format!("item {item}, block {}: starts out of step", b.block));
+                }
+                if len == 0 || len > COMPRESSED_BLOCK || prev_block.is_some_and(|p| p >= b.block) {
+                    return Err(format!("item {item}, block {}: bad length or order", b.block));
+                }
+                prev_block = Some(b.block);
+                entry += len;
+                let last_local = if b.is_full() {
+                    COMPRESSED_BLOCK - 1
+                } else {
+                    let offs = self.offsets.get(offset..offset + len).ok_or("offsets too short")?;
+                    if offs.windows(2).any(|w| w[0] >= w[1]) {
+                        return Err(format!(
+                            "item {item}, block {}: offsets not ascending",
+                            b.block
+                        ));
+                    }
+                    offset += len;
+                    offs[len - 1] as usize
+                };
+                if b.base() + last_local >= self.num_users {
+                    return Err(format!("item {item}, block {}: past the last user", b.block));
+                }
+            }
+            if self.entry_ptr[item + 1] != entry {
+                return Err(format!("item {item}: entry pointer out of step"));
+            }
             let mut values = Vec::new();
-            let mut prev_user = None;
-            self.for_each_in_part(item, 0..self.column_len(item), |u, v| {
-                assert!(prev_user.is_none_or(|p| p < u), "item {item}: users not increasing");
-                prev_user = Some(u);
-                values.push(v);
-            });
-            let want = stored_sum(&values);
-            if want.to_bits() != self.col_sums[item].to_bits() {
+            self.for_each_in_part(item, 0..self.column_len(item), |_, v| values.push(v));
+            if stored_sum(&values).to_bits() != self.col_sums[item].to_bits() {
                 return Err(format!("item {item}: cached sum drifted"));
             }
+        }
+        if entry != self.codes.len() || offset != self.offsets.len() {
+            return Err("directory does not tile codes / offsets".into());
+        }
+        if *self.block_ptr.last().expect("never empty") != self.blocks.len() {
+            return Err("block_ptr does not cover the directory".into());
+        }
+        if (0..self.codes.len()).any(|i| self.codes.get(i) as usize >= self.dict.len()) {
+            return Err("code outside the dictionary".into());
+        }
+        if self.codes.first_use_break(0, 0, self.dict.len()).is_some() {
+            return Err("dictionary not in canonical first-use order".into());
+        }
+        let wide = matches!(self.codes, CodeVec::Wide(_));
+        if wide != (self.dict.len() > u16::MAX as usize + 1) {
+            return Err("code width is not the canonical one".into());
         }
         Ok(())
     }
@@ -646,7 +1274,7 @@ pub struct CompressedInterestBuilder {
     num_items: usize,
     num_users: usize,
     dict: Vec<f64>,
-    index: HashMap<u64, u32>,
+    index: BitsMap<u32>,
     cols: Vec<ColBuf>,
 }
 
@@ -661,7 +1289,7 @@ impl CompressedInterestBuilder {
     pub fn new(num_items: usize, num_users: usize) -> Self {
         let mut cols = Vec::with_capacity(num_items);
         cols.resize_with(num_items, ColBuf::default);
-        Self { num_items, num_users, dict: Vec::new(), index: HashMap::new(), cols }
+        Self { num_items, num_users, dict: Vec::new(), index: BitsMap::default(), cols }
     }
 
     /// Adds one `(item, user) -> value` entry. Zero values are dropped.

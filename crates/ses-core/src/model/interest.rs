@@ -456,6 +456,29 @@ impl Iterator for ColumnIter<'_> {
         }
     }
 
+    /// Internal iteration (`for_each`, `sum`, …) walks whole slices — and
+    /// on the compressed layout whole blocks — instead of one `next` step
+    /// per entry; the order, and so every reduction's bits, is the same.
+    fn fold<B, F: FnMut(B, (usize, f64)) -> B>(self, init: B, mut f: F) -> B {
+        match self {
+            ColumnIter::Dense { values, first_user, next } => values[next..]
+                .iter()
+                .enumerate()
+                .fold(init, |acc, (i, &v)| f(acc, (first_user + next + i, v))),
+            ColumnIter::Sparse { users, values, next } => users[next..]
+                .iter()
+                .zip(&values[next..])
+                .fold(init, |acc, (&u, &v)| f(acc, (u as usize, v))),
+            ColumnIter::Compressed { matrix, pos, end, block_idx } => {
+                let mut acc = Some(init);
+                matrix.for_each_entry(pos, end, block_idx, |u, v| {
+                    acc = Some(f(acc.take().expect("set before every call"), (u, v)));
+                });
+                acc.expect("set before every call")
+            }
+        }
+    }
+
     fn size_hint(&self) -> (usize, Option<usize>) {
         let rem = match self {
             ColumnIter::Dense { values, next, .. } => values.len() - next,

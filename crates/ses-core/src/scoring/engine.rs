@@ -241,9 +241,7 @@ impl<'a> ScoringEngine<'a> {
             }
             par_chunks_mut(threads, &mut comp_mass, users, |t, row| {
                 for &ci in &by_interval[t] {
-                    for (u, mu) in inst.competing_interest.column(ci) {
-                        row[u] += mu;
-                    }
+                    inst.competing_interest.column(ci).for_each(|(u, mu)| row[u] += mu);
                 }
             });
         }
@@ -664,7 +662,7 @@ impl<'a> ScoringEngine<'a> {
             let base = ti * users;
             if sign >= 0.0 {
                 self.sched_events[ti] += 1;
-                for (u, mu) in inst.event_interest.column(e.index()) {
+                inst.event_interest.column(e.index()).for_each(|(u, mu)| {
                     let idx = base + u;
                     let was_zero = self.sched_mass[idx] == 0.0;
                     self.sched_mass[idx] += mu;
@@ -672,7 +670,7 @@ impl<'a> ScoringEngine<'a> {
                         self.dirty_cells[ti] += 1;
                     }
                     self.refresh_cell(idx);
-                }
+                });
             } else {
                 // Subtractive update (backtracking): snap float residue to
                 // exact zero. The Luce share m/(c+m) is *discontinuous* at
@@ -680,7 +678,7 @@ impl<'a> ScoringEngine<'a> {
                 // a user's share from 0 to 1 and silently corrupt every
                 // subsequent score (found by a property test via the exact
                 // solver losing to greedy).
-                for (u, mu) in inst.event_interest.column(e.index()) {
+                inst.event_interest.column(e.index()).for_each(|(u, mu)| {
                     let idx = base + u;
                     let was_zero = self.sched_mass[idx] == 0.0;
                     let cell = &mut self.sched_mass[idx];
@@ -695,7 +693,7 @@ impl<'a> ScoringEngine<'a> {
                         _ => {}
                     }
                     self.refresh_cell(idx);
-                }
+                });
                 self.sched_events[ti] = self.sched_events[ti].saturating_sub(1);
                 if self.sched_events[ti] == 0 && self.dirty_cells[ti] > 0 {
                     // The interval's scheduled event set is empty again but

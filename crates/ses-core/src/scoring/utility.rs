@@ -9,7 +9,7 @@
 //! [`ScoringEngine`]: crate::scoring::ScoringEngine
 
 use crate::ids::{EventId, IntervalId};
-use crate::model::Instance;
+use crate::model::{Instance, InterestMatrix};
 use crate::schedule::Schedule;
 
 /// The Luce denominator for user `u` at interval `t` under schedule `s`:
@@ -47,39 +47,93 @@ pub fn attendance_probability(
     inst.activity.value(user, t.index()) * inst.event_interest.value(e.index(), user) / denom
 }
 
+/// Reused O(|U|) buffers of the column-streamed evaluator: one event's µ
+/// column and one interval's Luce denominators, zeros filled in. Reading
+/// each column once through [`InterestMatrix::column`] costs the same on
+/// every layout, where a per-cell `value` lookup is a binary search on the
+/// sparse and compressed ones.
+struct Columns {
+    mu: Vec<f64>,
+    denom: Vec<f64>,
+}
+
+impl Columns {
+    fn new(inst: &Instance) -> Self {
+        Self { mu: vec![0.0; inst.num_users()], denom: vec![0.0; inst.num_users()] }
+    }
+
+    /// Expected attendance of event `e` scheduled from `start` — Eq. 2
+    /// with [`attendance_probability`]'s per-user expression, summed over
+    /// `ti`, then users, in the per-cell evaluator's order. Denominators add
+    /// competing columns first, then `events_at(t)` in order; skipping an
+    /// absent entry skips adding `+0.0`, which leaves a non-negative sum
+    /// bit-identical, so results match the per-cell evaluation bit for bit
+    /// on every layout.
+    fn attendance(&mut self, inst: &Instance, s: &Schedule, e: EventId, start: IntervalId) -> f64 {
+        fill_column(&mut self.mu, &inst.event_interest, e.index());
+        let d = inst.events[e.index()].duration as usize;
+        let mut total = 0.0;
+        for ti in start.index()..start.index() + d {
+            let t = IntervalId::new(ti);
+            self.denom.fill(0.0);
+            for c in inst.competing_at(t) {
+                add_column(&mut self.denom, &inst.competing_interest, c.index());
+            }
+            for &p in s.events_at(t) {
+                if p == e {
+                    self.denom.iter_mut().zip(&self.mu).for_each(|(d, &m)| *d += m);
+                } else {
+                    add_column(&mut self.denom, &inst.event_interest, p.index());
+                }
+            }
+            for (user, (&denom, &mu)) in self.denom.iter().zip(&self.mu).enumerate() {
+                let rho =
+                    if denom <= 0.0 { 0.0 } else { inst.activity.value(user, ti) * mu / denom };
+                total += inst.user_weight(user) * rho;
+            }
+        }
+        total
+    }
+}
+
+/// Overwrites `buf` with `item`'s column of `matrix`, zeros included.
+fn fill_column(buf: &mut [f64], matrix: &InterestMatrix, item: usize) {
+    buf.fill(0.0);
+    matrix.column(item).for_each(|(user, v)| buf[user] = v);
+}
+
+/// Adds `item`'s column of `matrix` into `buf`, user by user.
+fn add_column(buf: &mut [f64], matrix: &InterestMatrix, item: usize) {
+    matrix.column(item).for_each(|(user, v)| buf[user] += v);
+}
+
 /// Expected attendance `ω_e^t` (Eq. 2) of scheduled event `e`, summed over
 /// all users (weighted if user weights are configured) and over every
 /// interval the event spans.
 ///
 /// Returns 0 if `e` is not scheduled by `s`.
 pub fn expected_attendance(inst: &Instance, s: &Schedule, e: EventId) -> f64 {
-    let Some(start) = s.interval_of(e) else {
-        return 0.0;
-    };
-    let d = inst.events[e.index()].duration as usize;
-    let mut total = 0.0;
-    for ti in start.index()..start.index() + d {
-        let t = IntervalId::new(ti);
-        for user in 0..inst.num_users() {
-            total += inst.user_weight(user) * attendance_probability(inst, s, user, e, t);
-        }
+    match s.interval_of(e) {
+        Some(start) => Columns::new(inst).attendance(inst, s, e, start),
+        None => 0.0,
     }
-    total
 }
 
 /// Total utility `Ω(S)` (Eq. 3): expected attendance summed over all
-/// scheduled events.
+/// scheduled events, in assignment order.
 pub fn total_utility(inst: &Instance, s: &Schedule) -> f64 {
-    s.assignments().iter().map(|a| expected_attendance(inst, s, a.event)).sum()
+    let mut cols = Columns::new(inst);
+    s.assignments().iter().map(|a| cols.attendance(inst, s, a.event, a.interval)).sum()
 }
 
 /// Profit-oriented utility (the §2.1 "profit-oriented SES" extension):
 /// `Σ_e (ω_e · revenue_per_attendee − cost_e)` over scheduled events.
 pub fn total_profit(inst: &Instance, s: &Schedule, revenue_per_attendee: f64) -> f64 {
+    let mut cols = Columns::new(inst);
     s.assignments()
         .iter()
         .map(|a| {
-            expected_attendance(inst, s, a.event) * revenue_per_attendee
+            cols.attendance(inst, s, a.event, a.interval) * revenue_per_attendee
                 - inst.events[a.event.index()].cost
         })
         .sum()

@@ -5,11 +5,14 @@
 use proptest::prelude::*;
 use ses_core::ids::{EventId, IntervalId, LocationId};
 use ses_core::model::{
-    ActivityMatrix, CompetingEvent, DenseInterest, Event, Instance, InstanceBuilder, StorageKind,
+    ActivityMatrix, CompetingEvent, DenseInterest, Event, Instance, InstanceBuilder,
+    InterestMatrix, StorageKind,
 };
 use ses_core::parallel::{Threads, PAR_BLOCK};
 use ses_core::schedule::Schedule;
-use ses_core::scoring::utility::total_utility;
+use ses_core::scoring::utility::{
+    attendance_probability, expected_attendance, total_profit, total_utility,
+};
 use ses_core::scoring::{gain, ScoringEngine, StaticCaches, WarmCacheState};
 
 /// Quantized probability in [0, 1] (steps of 1/64) — avoids degenerate
@@ -494,6 +497,311 @@ proptest! {
                 prop_assert_eq!(a.to_bits(), s.assignment_score(e, t).to_bits());
                 prop_assert_eq!(a.to_bits(), c.assignment_score(e, t).to_bits());
             }
+        }
+    }
+}
+
+/// Asserts the compressed matrices of `inst` are canonical: internally
+/// consistent, `==` to a fresh `to_compressed` of their dense conversion,
+/// and serialized to the same bytes.
+fn assert_canonical(inst: &Instance, context: &str) {
+    for m in [&inst.event_interest, &inst.competing_interest] {
+        assert_matrix_canonical(m, context);
+    }
+}
+
+fn assert_matrix_canonical(m: &InterestMatrix, context: &str) {
+    let InterestMatrix::Compressed(c) = m else { panic!("{context}: layout left compressed") };
+    c.check_consistency().unwrap_or_else(|e| panic!("{context}: {e}"));
+    let fresh = InterestMatrix::from(m.to_dense()).to_compressed();
+    assert_eq!(c, &fresh, "{context}: not the canonical encoding");
+    assert_eq!(
+        serde_json::to_string(c).unwrap(),
+        serde_json::to_string(&fresh).unwrap(),
+        "{context}: serialized bytes differ"
+    );
+}
+
+/// An instance sized around the 512-user block edge, with columns from
+/// fully dense (full blocks) to sparse (partial blocks), values drawn from
+/// a small quantized alphabet.
+fn block_edge_instance() -> impl Strategy<Value = Instance> {
+    let users = block_edge_users();
+    (1usize..=4, 1usize..=3, users, 0usize..=2, 0u64..1_000_000, 0u8..=3).prop_map(
+        |(ne, nt, nu, nc, seed, sparsity)| {
+            let mut x = seed | 1;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            // sparsity 0 = every cell non-zero; 3 = three in four zero.
+            let mut p = move || {
+                if next() % 4 < sparsity as u64 {
+                    0.0
+                } else {
+                    (next() % 16 + 1) as f64 / 16.0
+                }
+            };
+            let mut b = InstanceBuilder::new();
+            for l in 0..ne {
+                b.add_event(Event::new(LocationId::new(l % 3), 1.0));
+            }
+            b.add_intervals(nt);
+            for c in 0..nc {
+                b.add_competing(CompetingEvent::new(IntervalId::new(c % nt)));
+            }
+            let ev = DenseInterest::from_fn(ne, nu, |_, _| p());
+            let cv = DenseInterest::from_fn(nc, nu, |_, _| p());
+            let inst = b
+                .event_interest(ev)
+                .competing_interest(cv)
+                .activity(ActivityMatrix::from_raw(nu, nt, vec![0.5; nu * nt]).unwrap())
+                .resources(100.0)
+                .build()
+                .unwrap();
+            with_storage(&inst, StorageKind::Compressed)
+        },
+    )
+}
+
+/// User counts on both sides of one and two block edges.
+fn block_edge_users() -> impl Strategy<Value = usize> {
+    (0usize..7).prop_map(|i| [3, 511, 512, 513, 1023, 1024, 1025][i])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// In-place compressed edits keep the canonical encoding: after every
+    /// op of a random stream — interest shifts (to zero, to a known value,
+    /// to a value the dictionary has never seen, on a value's first-use
+    /// cell), event arrivals and cancellations (item 0 included), user
+    /// joins and retirements across block edges — the matrix equals a
+    /// fresh encode of its values, byte for byte, and holds the same
+    /// values as a dense twin fed the same ops.
+    #[test]
+    fn compressed_edits_stay_canonical(inst in block_edge_instance(), seed in 0u64..1000) {
+        use ses_core::delta::{self, DeltaOp, NewUser};
+
+        let mut compressed = inst.clone();
+        let mut dense = with_storage(&inst, StorageKind::Dense);
+        assert_canonical(&compressed, "initial");
+        let mut x = seed | 1;
+        let mut next = move || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x >> 16
+        };
+        for step in 0..14 {
+            let nu = dense.num_users();
+            let ne = dense.num_events();
+            let nc = dense.num_competing();
+            let nt = dense.num_intervals();
+            // Zero, a known level, or a value no encode has seen yet.
+            let value = |r: u64| match r % 4 {
+                0 => 0.0,
+                1 | 2 => (r / 4 % 16 + 1) as f64 / 16.0,
+                _ => (r / 4 % 999_983 + 1) as f64 / 1_000_003.0,
+            };
+            let op = match next() % 9 {
+                0..=2 => DeltaOp::ShiftInterest {
+                    event: EventId::new(next() as usize % ne),
+                    user: next() as usize % nu,
+                    interest: value(next()),
+                },
+                3 => {
+                    // Edit the first-use cell of the stream: event 0's
+                    // first stored entry (removing it when the draw is 0).
+                    let user = dense.event_interest.column(0).find(|&(_, v)| v != 0.0)
+                        .map_or(0, |(u, _)| u);
+                    DeltaOp::ShiftInterest { event: EventId::new(0), user, interest: value(next()) }
+                }
+                4 => DeltaOp::AddEvent {
+                    event: Event::new(LocationId::new(next() as usize % 3), 1.0),
+                    interest: (0..nu).map(|_| value(next())).collect(),
+                },
+                5 if ne > 1 => {
+                    let event = if next() % 2 == 0 { 0 } else { next() as usize % ne };
+                    DeltaOp::RemoveEvent { event: EventId::new(event) }
+                }
+                6 | 7 if nu > 4 => {
+                    let mut users: Vec<usize> =
+                        (0..1 + next() as usize % 3).map(|_| next() as usize % nu).collect();
+                    users.sort_unstable();
+                    users.dedup();
+                    DeltaOp::RetireUsers { users }
+                }
+                _ => DeltaOp::AddUsers {
+                    users: (0..1 + next() as usize % 3)
+                        .map(|_| NewUser {
+                            event_interest: (0..ne).map(|_| value(next())).collect(),
+                            competing_interest: (0..nc).map(|_| value(next())).collect(),
+                            activity: vec![0.5; nt],
+                            weight: None,
+                        })
+                        .collect(),
+                },
+            };
+            delta::apply(&mut dense, &op).expect("op valid on dense");
+            delta::apply(&mut compressed, &op).expect("op valid on compressed");
+            let context = format!("step {step}");
+            assert_canonical(&compressed, &context);
+            prop_assert_eq!(
+                &with_storage(&compressed, StorageKind::Dense), &dense,
+                "{}: compressed drifted from dense", context
+            );
+        }
+    }
+}
+
+/// Adversarial dictionary edges, deterministic: removing a value's last
+/// use, and a dictionary that outgrows `u16` codes and shrinks back.
+#[test]
+fn compressed_dictionary_widens_and_narrows_canonically() {
+    let width = |m: &InterestMatrix| {
+        let json = serde_json::to_string(m).unwrap();
+        if json.contains("\"Wide\"") {
+            "wide"
+        } else {
+            "narrow"
+        }
+    };
+    // 2 × 32 768 distinct values: exactly 65 536 codes, the last that fit u16.
+    let nu = 32_768;
+    let distinct = |item: usize, u: usize| (item * nu + u + 1) as f64 / (2 * nu + 8) as f64;
+    let mut m = InterestMatrix::from(
+        InterestMatrix::from(DenseInterest::from_fn(2, nu, distinct)).to_compressed(),
+    );
+    assert_matrix_canonical(&m, "initial");
+    assert_eq!(width(&m), "narrow");
+
+    // A never-seen value over a value's only use: the dictionary briefly
+    // holds 65 537 values, then drops the dead one and stays narrow.
+    m.set_value(1, 5, 0.123_456_789);
+    assert_matrix_canonical(&m, "overwrite last use");
+    assert_eq!(width(&m), "narrow");
+
+    // Removing the last use of a value, on the stream's first-use cell.
+    m.set_value(0, 0, 0.0);
+    assert_matrix_canonical(&m, "remove first-use cell");
+
+    // Two joiners with fresh values: 65 539 values, wide codes.
+    m.append_users(&[vec![0.987_654_321, 0.876_543_21], vec![0.765_432_1, 0.654_321]]);
+    assert_matrix_canonical(&m, "append past u16");
+    assert_eq!(width(&m), "wide");
+
+    // Retiring them shrinks the dictionary back under the bound: narrow.
+    m.remove_users(&[nu, nu + 1]);
+    assert_matrix_canonical(&m, "retire back under u16");
+    assert_eq!(width(&m), "narrow");
+
+    // Grow once more through a point edit, then drop item 0.
+    m.append_users(&[vec![0.111_111_1, 0.222_222_2], vec![0.333_333_3, 0.444_444_4]]);
+    assert_eq!(width(&m), "wide");
+    m.remove_item(0);
+    assert_matrix_canonical(&m, "remove item 0");
+    assert_eq!(width(&m), "narrow");
+}
+
+/// The per-cell Ω(S) evaluation the column-streamed `total_utility`
+/// replaced: one [`attendance_probability`] (two binary searches per
+/// column on the sparse and compressed layouts) per user, interval and
+/// assignment. Kept as the oracle the streamed evaluator must match bit
+/// for bit.
+fn per_cell_total_utility(inst: &Instance, s: &Schedule) -> f64 {
+    s.assignments()
+        .iter()
+        .map(|a| {
+            let start = s.interval_of(a.event).expect("assigned");
+            let d = inst.events[a.event.index()].duration as usize;
+            let mut total = 0.0;
+            for ti in start.index()..start.index() + d {
+                let t = IntervalId::new(ti);
+                for user in 0..inst.num_users() {
+                    total +=
+                        inst.user_weight(user) * attendance_probability(inst, s, user, a.event, t);
+                }
+            }
+            total
+        })
+        .sum()
+}
+
+/// Instances for the Ω(S) oracle: continuous values, weighted or
+/// unweighted users (weight 0 included), events lasting one to three
+/// intervals, zero activity and
+/// zero interest common enough that empty Luce denominators occur, and
+/// user counts that span compressed blocks.
+fn utility_instance() -> impl Strategy<Value = Instance> {
+    let shape = (1usize..=7, 1usize..=5, 1usize..=1100, 0usize..=3, 0u64..1_000_000);
+    (shape, 0u8..=3, 0u8..=1).prop_map(|((ne, nt, nu, nc, seed), sparsity, weighted)| {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        // Continuous values: sums of them round, so any change in the
+        // addition order shows in the bits.
+        let mut p = move |zero_quarters: u64| {
+            if next() % 4 < zero_quarters {
+                0.0
+            } else {
+                (next() % 999_983 + 1) as f64 / 1_000_003.0
+            }
+        };
+        let mut b = InstanceBuilder::new();
+        for l in 0..ne {
+            let duration = 1 + (l % 3) as u32;
+            b.add_event(
+                Event::new(LocationId::new(l % 3), 1.0).with_duration(duration.min(nt as u32)),
+            );
+        }
+        b.add_intervals(nt);
+        for c in 0..nc {
+            b.add_competing(CompetingEvent::new(IntervalId::new(c % nt)));
+        }
+        let q = sparsity as u64;
+        let b = b
+            .event_interest(DenseInterest::from_fn(ne, nu, |_, _| p(q)))
+            .competing_interest(DenseInterest::from_fn(nc, nu, |_, _| p(q)))
+            .activity(
+                ActivityMatrix::from_raw(nu, nt, (0..nu * nt).map(|_| p(1)).collect()).unwrap(),
+            );
+        let b =
+            if weighted == 1 { b.user_weights((0..nu).map(|_| p(1) * 3.0).collect()) } else { b };
+        b.resources(100.0).build().unwrap()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The column-streamed Ω(S) equals the per-cell oracle **bit for bit**
+    /// on every layout, for random feasible schedules with multi-interval
+    /// events, weighted users and empty denominators; `total_profit` and
+    /// `expected_attendance` ride the same evaluator.
+    #[test]
+    fn streamed_utility_matches_per_cell_oracle(inst in utility_instance(), seed in 0u64..1000) {
+        let mut s = Schedule::new(&inst);
+        let mut x = seed | 1;
+        for e in 0..inst.num_events() {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            if (x >> 33) % 4 != 0 {
+                let t = (x >> 40) as usize % inst.num_intervals();
+                let _ = s.assign(&inst, EventId::new(e), IntervalId::new(t));
+            }
+        }
+        let want = per_cell_total_utility(&inst, &s);
+        for kind in StorageKind::ALL {
+            let inst = with_storage(&inst, kind);
+            prop_assert_eq!(total_utility(&inst, &s).to_bits(), want.to_bits(), "{}", kind);
+            let profit = s.assignments().iter().map(|a| {
+                expected_attendance(&inst, &s, a.event) * 2.0 - inst.events[a.event.index()].cost
+            }).sum::<f64>();
+            prop_assert_eq!(total_profit(&inst, &s, 2.0).to_bits(), profit.to_bits(), "{}", kind);
         }
     }
 }
