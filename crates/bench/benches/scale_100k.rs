@@ -17,7 +17,7 @@
 //!   the in-place edits, which a return to whole-matrix re-encodes would
 //!   multiply.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use ses_algorithms::SchedulerKind;
 use ses_bench::{record_gauge, threaded_label, Threads, BENCH_THREADS};
 use ses_core::delta::{self, DeltaOp, NewUser};
@@ -66,9 +66,9 @@ fn bench(c: &mut Criterion) {
     record_gauge("scale_100k/heap_bytes/compressed", cb as u64);
     record_gauge("scale_100k/heap_bytes/instance_compressed", compressed.heap_bytes() as u64);
 
-    // One delta op per sample on a private copy of each layout. Each op
-    // mutates the copy (the next sample sees the edited matrix); the drift
-    // over a few samples is far below the costs compared here.
+    // One delta op per sample, each on a fresh clone of the layout's base
+    // instance (cloned outside the timed region), so no sample sees an
+    // earlier one's edits however many iterations the harness runs.
     group.sample_size(10);
     for (kind, inst) in [(StorageKind::Sparse, &sparse), (StorageKind::Compressed, &compressed)] {
         for (name, op) in [
@@ -76,17 +76,22 @@ fn bench(c: &mut Criterion) {
             ("remove_event", remove_op),
             ("add_users", add_users_op),
         ] {
-            let mut live = inst.clone();
             let mut i = 0;
             group.bench_with_input(
                 BenchmarkId::new(format!("delta_apply/{name}"), kind.name()),
                 &kind,
                 |b, _| {
-                    b.iter(|| {
-                        i += 1;
-                        let op = op(&live, i);
-                        delta::apply(&mut live, &op).expect("op valid")
-                    })
+                    b.iter_batched(
+                        || {
+                            i += 1;
+                            (inst.clone(), op(inst, i))
+                        },
+                        |(mut live, op)| {
+                            delta::apply(&mut live, &op).expect("op valid");
+                            live
+                        },
+                        BatchSize::PerIteration,
+                    )
                 },
             );
         }
@@ -119,7 +124,7 @@ fn bench(c: &mut Criterion) {
     group.finish();
 }
 
-/// Builds the `i`-th op of one delta arm against the current instance.
+/// Builds the `i`-th op of one delta arm against the base instance.
 type OpFn = fn(&Instance, usize) -> DeltaOp;
 
 /// A drift on a spread-out cell, cycling through the quantized levels.

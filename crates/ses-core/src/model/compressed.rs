@@ -187,36 +187,6 @@ impl CodeVec {
         max + 1
     }
 
-    /// Whether `code` occurs at or after `from`.
-    fn occurs_from(&self, from: usize, code: u32) -> bool {
-        match self {
-            Self::Narrow(v) => u16::try_from(code).is_ok_and(|c| v[from..].contains(&c)),
-            Self::Wide(v) => v[from..].contains(&code),
-        }
-    }
-
-    /// Renumbers the codes from `from` on after a point edit there whose
-    /// only effects on first-use ranks are: code `moved` (first used after
-    /// `from` until now) takes rank `next`, and code `dead` (which was rank
-    /// `next`) no longer occurs. Every other code keeps its relative order,
-    /// so the new numbering is one branch-free pass:
-    /// `c - [c > dead] + [next ≤ c < moved]`.
-    fn shift_ranks(&mut self, from: usize, next: u32, moved: Option<u32>, dead: Option<u32>) {
-        let (m, hi, d) =
-            (moved.unwrap_or(u32::MAX), moved.unwrap_or(next), dead.unwrap_or(u32::MAX));
-        let f = move |c: u32| {
-            if c == m {
-                next
-            } else {
-                c - (c > d) as u32 + (c >= next && c < hi) as u32
-            }
-        };
-        match self {
-            Self::Narrow(v) => v[from..].iter_mut().for_each(|c| *c = f(*c as u32) as u16),
-            Self::Wide(v) => v[from..].iter_mut().for_each(|c| *c = f(*c)),
-        }
-    }
-
     /// Where the codes stop being in canonical first-use order over a
     /// dictionary of `dict_len` values (first occurrences reading
     /// `0, 1, 2, …`, every code occurring), given that the codes before
@@ -360,60 +330,11 @@ impl ColumnBlock {
     }
 }
 
-/// Hash-map state for `f64` bit patterns: one multiply-xorshift round over
-/// the key XOR a per-process random seed. Far cheaper than SipHash on the
-/// interning paths, which probe every dictionary entry, while bucket
-/// placement stays unpredictable to a client choosing interest values.
-#[derive(Clone)]
-struct BitsState(u64);
-
-impl Default for BitsState {
-    fn default() -> Self {
-        static SEED: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-        Self(*SEED.get_or_init(|| {
-            use std::hash::{BuildHasher, Hasher};
-            std::collections::hash_map::RandomState::new().build_hasher().finish()
-        }))
-    }
-}
-
-impl std::hash::BuildHasher for BitsState {
-    type Hasher = BitsHasher;
-
-    fn build_hasher(&self) -> BitsHasher {
-        BitsHasher(self.0)
-    }
-}
-
-struct BitsHasher(u64);
-
-impl std::hash::Hasher for BitsHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, x: u64) {
-        let z = (x ^ self.0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = z ^ (z >> 29);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A map keyed by `f64` bit patterns.
-type BitsMap<V> = HashMap<u64, V, BitsState>;
-
 /// Transient dictionary index used while encoding — the matrix itself never
 /// holds the hash map, only the plain `Vec<f64>` dictionary.
 #[derive(Default)]
 struct Interner {
-    by_bits: BitsMap<u32>,
+    by_bits: HashMap<u64, u32>,
 }
 
 impl Interner {
@@ -430,21 +351,48 @@ impl Interner {
 /// in the dictionary keeps its code, and new values are appended in
 /// first-use order. The hash index covers the batch's distinct values
 /// only, so interning one column costs O(batch) memory however large the
-/// dictionary has grown.
+/// dictionary has grown. It is a std `HashMap`, whose per-process random
+/// key keeps a client choosing interest values from steering them into
+/// one bucket.
 fn intern_new(dict: &mut Vec<f64>, values: &[f64]) -> Vec<u32> {
-    let mut slots: BitsMap<u32> = BitsMap::default();
+    // Both shortcuts below index by a fixed multiplicative mix of the bits.
+    // A crafted collision only sends a value down the hash-map path it
+    // would take without them.
+    let mix = |v: f64| v.to_bits().wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut slots: HashMap<u64, u32> = HashMap::new();
     let mut distinct = Vec::new();
+    // Quantized data repeats a few hundred values, so a direct-mapped memo
+    // of recent values skips the hash for almost every repeat. Its empty
+    // entries hold the bits of +0.0, which a non-zero value never has.
+    let mut memo = [(0u64, 0u32); 1024];
     let mut out: Vec<u32> = values
         .iter()
         .map(|&v| {
-            *slots.entry(v.to_bits()).or_insert_with(|| {
-                distinct.push(v);
-                (distinct.len() - 1) as u32
-            })
+            let m = &mut memo[(mix(v) >> 54) as usize];
+            if m.0 != v.to_bits() {
+                let slot = *slots.entry(v.to_bits()).or_insert_with(|| {
+                    distinct.push(v);
+                    (distinct.len() - 1) as u32
+                });
+                *m = (v.to_bits(), slot);
+            }
+            m.1
         })
         .collect();
+    // A 2¹⁶-bit filter of the batch's values lets the dictionary scan skip
+    // the hash probe for almost every entry.
+    let bit = |v: f64| (mix(v) >> 48) as usize;
+    let mut filter = vec![0u64; (1 << 16) / 64];
+    for &v in &distinct {
+        let b = bit(v);
+        filter[b / 64] |= 1 << (b % 64);
+    }
     let mut code = vec![u32::MAX; distinct.len()];
-    for (c, d) in dict.iter().enumerate() {
+    for (c, &d) in dict.iter().enumerate() {
+        let b = bit(d);
+        if filter[b / 64] >> (b % 64) & 1 == 0 {
+            continue;
+        }
         if let Some(&slot) = slots.get(&d.to_bits()) {
             code[slot as usize] = c as u32;
         }
@@ -862,20 +810,6 @@ impl CompressedInterest {
         self.col_sums[item] = sum;
     }
 
-    /// The code of `value`, appended to the dictionary if new. A linear
-    /// scan: the matrix keeps no hash index, and a point edit looks up one
-    /// value.
-    fn code_for(&mut self, value: f64) -> u32 {
-        let bits = value.to_bits();
-        match self.dict.iter().position(|d| d.to_bits() == bits) {
-            Some(code) => code as u32,
-            None => {
-                self.dict.push(value);
-                (self.dict.len() - 1) as u32
-            }
-        }
-    }
-
     /// Restores the canonical dictionary after an edit — the form an encode
     /// from scratch gives: first-use order over the column-major entry
     /// stream, no dead codes, `u16` codes while the dictionary fits.
@@ -894,29 +828,12 @@ impl CompressedInterest {
         };
         let (table, survivors) = self.codes.renumber_from(pos, next, self.dict.len());
         let next = next as usize;
-        let mut last = None;
-        let keeps_order = table.iter().filter(|&&t| t != u32::MAX).all(|&t| {
-            let ascending = last.is_none_or(|l| l < t);
-            last = Some(t);
-            ascending
-        });
-        if keeps_order {
-            // Only dead codes dropped out (a cancelled event's own values,
-            // say): compact the dictionary in place.
-            let mut i = 0;
-            self.dict.retain(|_| {
-                let keep = i < next || table[i - next] != u32::MAX;
-                i += 1;
-                keep
-            });
-        } else {
-            let mut moved = vec![0.0; survivors];
-            for (i, &t) in table.iter().enumerate().filter(|(_, &t)| t != u32::MAX) {
-                moved[t as usize - next] = self.dict[next + i];
-            }
-            self.dict.truncate(next);
-            self.dict.extend_from_slice(&moved);
+        let mut moved = vec![0.0; survivors];
+        for (i, &t) in table.iter().enumerate().filter(|(_, &t)| t != u32::MAX) {
+            moved[t as usize - next] = self.dict[next + i];
         }
+        self.dict.truncate(next);
+        self.dict.extend_from_slice(&moved);
         self.codes.fit(self.dict.len());
     }
 
@@ -1018,7 +935,7 @@ impl CompressedInterest {
                     match rel {
                         Ok(r) if value != 0.0 => {
                             let (pos, old) = (b.entry_start + r, self.codes.get(b.entry_start + r));
-                            let code = self.code_for(value);
+                            let code = intern_new(&mut self.dict, &[value])[0];
                             if code == old {
                                 return;
                             }
@@ -1032,7 +949,7 @@ impl CompressedInterest {
                         }
                         Err(_) if value == 0.0 => return,
                         Err(r) => {
-                            let code = self.code_for(value);
+                            let code = intern_new(&mut self.dict, &[value])[0];
                             self.insert_entry(item, lo + k, r, local, code);
                             (b.entry_start + r, None, Some(code))
                         }
@@ -1040,7 +957,7 @@ impl CompressedInterest {
                 }
                 Err(_) if value == 0.0 => return,
                 Err(k) => {
-                    let code = self.code_for(value);
+                    let code = intern_new(&mut self.dict, &[value])[0];
                     let pos = self.insert_block(item, lo + k, block, local, code);
                     (pos, None, Some(code))
                 }
@@ -1052,41 +969,8 @@ impl CompressedInterest {
         // next new code; otherwise renumber from `pos`.
         let next = self.codes.prefix_next(pos);
         if removed.is_some_and(|a| a >= next) || added.is_some_and(|b| b > next) {
-            self.rerank_after_edit(pos, next, removed, added);
+            self.canonicalize_dict_from(pos, next);
         }
-    }
-
-    /// Restores the canonical order after a point edit at `pos` (codes
-    /// before `pos` untouched, using `0..next`) that lost `removed` and
-    /// gained `added`. The gained code, if first used at `pos` now, takes
-    /// rank `next`; the lost one, if `pos` was its first use, either dies
-    /// or moves its first use later. Every case but the last is one
-    /// [`CodeVec::shift_ranks`] pass and a dictionary splice; the last
-    /// takes the general path.
-    fn rerank_after_edit(
-        &mut self,
-        pos: usize,
-        next: u32,
-        removed: Option<u32>,
-        added: Option<u32>,
-    ) {
-        let lost_first = removed.filter(|&a| a >= next);
-        if lost_first.is_some_and(|a| self.codes.occurs_from(pos, a)) {
-            return self.canonicalize_dict_from(pos, next);
-        }
-        let moved = added.filter(|&b| b > next);
-        self.codes.shift_ranks(pos, next, moved, lost_first);
-        let value = moved.map(|b| self.dict[b as usize]);
-        let mut code = 0u32;
-        self.dict.retain(|_| {
-            let keep = Some(code) != moved && Some(code) != lost_first;
-            code += 1;
-            keep
-        });
-        if let Some(v) = value {
-            self.dict.insert(next as usize, v);
-        }
-        self.codes.fit(self.dict.len());
     }
 
     /// Starts an empty matrix over `num_users` that takes over `self`'s
@@ -1274,7 +1158,7 @@ pub struct CompressedInterestBuilder {
     num_items: usize,
     num_users: usize,
     dict: Vec<f64>,
-    index: BitsMap<u32>,
+    index: HashMap<u64, u32>,
     cols: Vec<ColBuf>,
 }
 
@@ -1289,7 +1173,7 @@ impl CompressedInterestBuilder {
     pub fn new(num_items: usize, num_users: usize) -> Self {
         let mut cols = Vec::with_capacity(num_items);
         cols.resize_with(num_items, ColBuf::default);
-        Self { num_items, num_users, dict: Vec::new(), index: BitsMap::default(), cols }
+        Self { num_items, num_users, dict: Vec::new(), index: HashMap::new(), cols }
     }
 
     /// Adds one `(item, user) -> value` entry. Zero values are dropped.
@@ -1449,6 +1333,26 @@ mod tests {
         assert_eq!(c.value(0, 0), 0.2);
         assert_eq!(c.dict_len(), 3, "rebuild must drop dead codes");
         c.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn intern_new_finds_every_known_value_and_appends_new_ones() {
+        // The quantized grid (low 44 bits zero) and values differing only
+        // in their top bits: keys a weak mix would collapse together.
+        let grid = (1..256).map(|i| i as f64 / 256.0);
+        let high = (1..64u64).map(|i| f64::from_bits(0x3FF0_0000_0000_0000 ^ (i << 46)));
+        let known: Vec<f64> = grid.chain(high).collect();
+        let mut dict = known.clone();
+        let mut batch: Vec<f64> = known.iter().rev().copied().collect();
+        batch.extend([0.123, known[7], 0.456, 0.123]);
+        let codes = intern_new(&mut dict, &batch);
+        let n = known.len() as u32;
+        let want: Vec<u32> = (0..n).rev().chain([n, 7, n + 1, n]).collect();
+        assert_eq!(codes, want);
+        assert_eq!(dict.len(), known.len() + 2);
+        assert_eq!(&dict[known.len()..], &[0.123, 0.456]);
+        // A one-value batch — a point edit — resolves the same way.
+        assert_eq!(intern_new(&mut dict, &[known[200]]), vec![200]);
     }
 
     #[test]
