@@ -5,10 +5,10 @@
 
 use serde::{Deserialize, Serialize};
 use ses_core::model::Instance;
-use ses_core::parallel::Threads;
+use ses_core::parallel::{par_chunks_mut, Threads};
 use ses_core::schedule::Schedule;
 use ses_core::scoring::utility::total_utility;
-use ses_core::scoring::EngineProfile;
+use ses_core::scoring::{EngineProfile, ScoringEngine};
 use ses_core::stats::Stats;
 use ses_core::{EventId, IntervalId};
 use std::time::{Duration, Instant};
@@ -295,7 +295,7 @@ pub struct Scratch {
     pub(crate) rows: Vec<Vec<(f64, EventId)>>,
     /// HOR's per-interval fallback cursors.
     pub(crate) cursors: Vec<usize>,
-    /// ALG's flat `|T|·|E|` score table.
+    /// Flat `|T|·|E|` empty-schedule score table (ALG, HOR's first round).
     pub(crate) slots: Vec<Option<f64>>,
     /// LAZY's heap backing store.
     pub(crate) heap: Vec<HeapEntry>,
@@ -323,37 +323,29 @@ pub(crate) fn reset_interval_lists(
     m.resize(n, None);
 }
 
-/// HOR's per-round buffers, borrowed together from a [`Scratch`]:
-/// `(rows, cursors, m)`.
-pub(crate) type HorBuffers<'s> =
-    (&'s mut Vec<Vec<(f64, EventId)>>, &'s mut Vec<usize>, &'s mut Vec<Option<Cand>>);
+/// Resets HOR's row/cursor/`M` buffers to `n` intervals, keeping capacity
+/// (a free function for the same reason as [`reset_interval_lists`]).
+pub(crate) fn reset_rows(
+    rows: &mut Vec<Vec<(f64, EventId)>>,
+    cursors: &mut Vec<usize>,
+    m: &mut Vec<Option<Cand>>,
+    n: usize,
+) {
+    rows.truncate(n);
+    for row in rows.iter_mut() {
+        row.clear();
+    }
+    rows.resize_with(n, Vec::new);
+    cursors.clear();
+    cursors.resize(n, 0);
+    m.clear();
+    m.resize(n, None);
+}
 
 impl Scratch {
     /// A fresh, empty scratch (equivalent to `Default::default()`).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Resets HOR's row/cursor/`M` buffers to `n` intervals, keeping
-    /// capacity.
-    pub(crate) fn reset_rows(&mut self, n: usize) -> HorBuffers<'_> {
-        self.rows.truncate(n);
-        for row in &mut self.rows {
-            row.clear();
-        }
-        self.rows.resize_with(n, Vec::new);
-        self.cursors.clear();
-        self.cursors.resize(n, 0);
-        self.m.clear();
-        self.m.resize(n, None);
-        (&mut self.rows, &mut self.cursors, &mut self.m)
-    }
-
-    /// Resets ALG's flat score table to `len` dead slots, keeping capacity.
-    pub(crate) fn reset_slots(&mut self, len: usize) -> &mut Vec<Option<f64>> {
-        self.slots.clear();
-        self.slots.resize(len, None);
-        &mut self.slots
     }
 }
 
@@ -419,6 +411,123 @@ pub(crate) fn stale_window(
     let span_end = t.index() + inst.events[event.index()].duration as usize;
     let lo = (t.index() + 1).saturating_sub(max_dur);
     lo..span_end.min(inst.num_intervals())
+}
+
+/// Scores every assignment that is feasible on the empty schedule into
+/// `table` (`[t·|E| + e]`, `None` for infeasible cells) — the initial pass
+/// of ALG, of HOR's first round and of the stream repairer's cold build.
+/// Returns the number of cells scored.
+///
+/// Rows (intervals) fan out across the engine's threads through the
+/// stat-free [`ScoringEngine::peek_score`] (bit-identical to
+/// `assignment_score`; the pool does not nest, and one thread or one row
+/// runs inline). The `Stats` and profile bookkeeping of every scored cell
+/// is then replayed, so the counters equal a sequential `assignment_score`
+/// pass.
+pub(crate) fn score_empty_schedule(
+    engine: &mut ScoringEngine<'_>,
+    table: &mut Vec<Option<f64>>,
+) -> usize {
+    let inst = engine.instance();
+    let num_events = inst.num_events();
+    table.clear();
+    table.resize(num_events * inst.num_intervals(), None);
+    if num_events == 0 {
+        return 0;
+    }
+    let start = Instant::now();
+    let probe = Schedule::new(inst);
+    let eng: &ScoringEngine<'_> = engine;
+    par_chunks_mut(eng.threads(), table, num_events, |t, row| {
+        let interval = IntervalId::new(t);
+        for (e, slot) in row.iter_mut().enumerate() {
+            let event = EventId::new(e);
+            if probe.is_valid_assignment(inst, event, interval) {
+                *slot = Some(eng.peek_score(event, interval));
+            }
+        }
+    });
+    let gen_ns = start.elapsed().as_nanos() as u64;
+    let mut scored = 0;
+    for (idx, cell) in table.iter().enumerate() {
+        if cell.is_some() {
+            let cost = engine.score_cost(EventId::new(idx % num_events));
+            engine.stats_mut().record_score(cost);
+            scored += 1;
+        }
+    }
+    engine.add_scoring_time(gen_ns, scored as u64);
+    scored
+}
+
+/// Re-derives `M[i]`: the first *updated and valid* entry of `lists[i]` in
+/// sorted order (= the interval's best updated score, since updated entries
+/// carry true scores). Invalid entries met on the way — events scheduled
+/// elsewhere, left behind a walk's early break — are removed. Shared by
+/// INC and the stream repairer.
+pub(crate) fn refresh_m(
+    inst: &Instance,
+    schedule: &Schedule,
+    lists: &mut [IntervalList],
+    m: &mut [Option<Cand>],
+    i: usize,
+) {
+    let interval = IntervalId::new(i);
+    let entries = &mut lists[i].entries;
+    let mut found = None;
+    let mut idx = 0;
+    while idx < entries.len() {
+        let ent = entries[idx];
+        if !schedule.is_valid_assignment(inst, ent.event, interval) {
+            entries.remove(idx);
+            continue;
+        }
+        if ent.updated {
+            found = Some(Cand::new(ent.score, interval, ent.event));
+            break;
+        }
+        idx += 1;
+    }
+    m[i] = found;
+}
+
+/// The bookkeeping after `chosen` was placed (Algorithm 1 lines 9–15),
+/// shared by INC and the stream repairer: every starting interval whose
+/// assignments may span into the placed span — the stale window; exactly
+/// the selected interval under duration-1 — drops the chosen event and has
+/// its survivors marked stale. Outside the window, `M` entries the
+/// selection invalidated (the chosen event's other assignments, plus under
+/// the duration extension any entry whose span now collides) are
+/// re-derived.
+pub(crate) fn mark_stale_after_selection(
+    inst: &Instance,
+    max_dur: usize,
+    schedule: &Schedule,
+    lists: &mut [IntervalList],
+    m: &mut [Option<Cand>],
+    chosen: Cand,
+) {
+    let span = stale_window(inst, max_dur, chosen.event, chosen.interval);
+    for ti in span.clone() {
+        let list = &mut lists[ti];
+        list.entries.retain(|e| e.event != chosen.event);
+        for e in &mut list.entries {
+            e.updated = false;
+        }
+        list.fully_updated = list.entries.is_empty();
+        m[ti] = None;
+    }
+    for i in 0..inst.num_intervals() {
+        if span.contains(&i) {
+            continue;
+        }
+        let needs_refresh = m[i].is_some_and(|c| {
+            c.event == chosen.event || !schedule.is_valid_assignment(inst, c.event, c.interval)
+        });
+        if needs_refresh {
+            refresh_m(inst, schedule, lists, m, i);
+        }
+    }
 }
 
 /// Selects the best candidate from an iterator under the canonical order.

@@ -18,16 +18,14 @@
 //!   utility is identical and the observed gap averages 0.008%.
 
 use crate::common::{
-    better, max_duration, stale_window, timed_result, Cand, RunConfig, ScheduleResult, Scheduler,
-    Scratch,
+    better, max_duration, reset_rows, score_empty_schedule, stale_window, timed_result, Cand,
+    RunConfig, ScheduleResult, Scheduler, Scratch,
 };
 use ses_core::model::Instance;
-use ses_core::parallel::par_chunks_mut;
 use ses_core::schedule::Schedule;
 use ses_core::scoring::{EngineProfile, ScoringEngine};
 use ses_core::stats::Stats;
 use ses_core::{EventId, IntervalId};
-use std::time::Instant;
 
 /// The Horizontal Assignment algorithm (see module docs).
 #[derive(Debug, Clone, Copy, Default)]
@@ -61,59 +59,34 @@ fn run_hor(
     cfg: RunConfig,
     scratch: &mut Scratch,
 ) -> (Schedule, Stats, Option<EngineProfile>) {
-    let threads = cfg.threads;
     let num_events = inst.num_events();
     let num_intervals = inst.num_intervals();
-    let mut engine = ScoringEngine::with_threads(inst, threads);
+    let mut engine = ScoringEngine::with_threads(inst, cfg.threads);
     if cfg.profile {
         engine.enable_profiling();
     }
     let mut schedule = Schedule::new(inst);
     let max_dur = max_duration(inst);
+    let Scratch { rows: lists, cursors: cursor, m, slots, .. } = scratch;
     let mut first_round = true;
 
     while schedule.len() < k {
         // Round start: rebuild per-interval lists of valid assignments with
         // fresh scores (Algorithm 2 lines 3–8); the row buffers come from
-        // the scratch, so rounds past the first allocate nothing.
-        let (lists, cursor, m) = scratch.reset_rows(num_intervals);
-        if first_round && !threads.is_sequential() && num_intervals >= 2 {
-            // Parallel candidate generation for the score-all first round:
-            // intervals are independent on the empty schedule, so each list
-            // is built and sorted on its own chunk via the stat-free
-            // `peek_score` (bit-identical to `assignment_score`); the Stats
-            // bookkeeping is replayed afterwards. Selection still merges
-            // through the canonical `Cand` order, so nothing downstream can
-            // tell the rounds apart.
-            let gen_start = Instant::now();
-            {
-                let eng = &engine;
-                let sched = &schedule;
-                par_chunks_mut(threads, lists, 1, |t, slot| {
-                    let interval = IntervalId::new(t);
-                    let list = &mut slot[0];
-                    for e in 0..num_events {
-                        let event = EventId::new(e);
-                        if sched.is_scheduled(event)
-                            || !sched.is_valid_assignment(inst, event, interval)
-                        {
-                            continue;
-                        }
-                        list.push((eng.peek_score(event, interval), event));
-                    }
-                    sort_list(list);
-                });
+        // the scratch, so rounds past the first allocate nothing. The
+        // score-all first round runs on the empty schedule, so its lists
+        // come from the shared empty-schedule table; later rounds rescore
+        // the survivors against the placed masses.
+        reset_rows(lists, cursor, m, num_intervals);
+        if first_round {
+            score_empty_schedule(&mut engine, slots);
+            for (t, list) in lists.iter_mut().enumerate() {
+                let row = &slots[t * num_events..(t + 1) * num_events];
+                list.extend(
+                    row.iter().enumerate().filter_map(|(e, s)| s.map(|s| (s, EventId::new(e)))),
+                );
+                sort_list(list);
             }
-            let gen_ns = gen_start.elapsed().as_nanos() as u64;
-            let mut generated = 0u64;
-            for list in lists.iter() {
-                for &(_, event) in list {
-                    let cost = engine.score_cost(event);
-                    engine.stats_mut().record_score(cost);
-                    generated += 1;
-                }
-            }
-            engine.add_scoring_time(gen_ns, generated);
         } else {
             #[allow(clippy::needless_range_loop)] // t indexes lists *and* names the interval
             for t in 0..num_intervals {
@@ -125,12 +98,7 @@ fn run_hor(
                     {
                         continue;
                     }
-                    let score = if first_round {
-                        engine.assignment_score(event, interval)
-                    } else {
-                        engine.assignment_score_update(event, interval)
-                    };
-                    lists[t].push((score, event));
+                    lists[t].push((engine.assignment_score_update(event, interval), event));
                 }
                 sort_list(&mut lists[t]);
             }

@@ -26,8 +26,8 @@
 //! score as the interval's upper bound, which is both correct and effective.
 
 use crate::common::{
-    better, max_duration, stale_window, timed_result, Cand, Entry, IntervalList, RunConfig,
-    ScheduleResult, Scheduler, Scratch,
+    better, mark_stale_after_selection, max_duration, refresh_m, timed_result, Cand, Entry,
+    IntervalList, RunConfig, ScheduleResult, Scheduler, Scratch,
 };
 use ses_core::model::Instance;
 use ses_core::schedule::Schedule;
@@ -65,30 +65,6 @@ struct IncState<'a, 'b, 's> {
 }
 
 impl IncState<'_, '_, '_> {
-    /// Re-derives `M[i]`: the first *updated and valid* entry in sorted
-    /// order (= the interval's best updated score, since updated entries
-    /// carry true scores). Invalid entries encountered on the way — e.g.
-    /// events scheduled at other intervals in earlier rounds, left behind a
-    /// walk's early break — are removed.
-    fn refresh_m(&mut self, i: usize) {
-        let interval = IntervalId::new(i);
-        let mut found = None;
-        let mut idx = 0;
-        while idx < self.lists[i].entries.len() {
-            let ent = self.lists[i].entries[idx];
-            if !self.schedule.is_valid_assignment(self.inst, ent.event, interval) {
-                self.lists[i].entries.remove(idx);
-                continue;
-            }
-            if ent.updated {
-                found = Some(Cand::new(ent.score, interval, ent.event));
-                break;
-            }
-            idx += 1;
-        }
-        self.m[i] = found;
-    }
-
     /// The Corollary-1 update pass for one interval: walk entries in
     /// descending stored order; drop invalid ones; refresh stale entries with
     /// stored score ≥ Φ; stop at the first entry below Φ. Returns the
@@ -135,7 +111,7 @@ impl IncState<'_, '_, '_> {
             list.sort();
         }
         list.fully_updated = list.entries.iter().all(|e| e.updated);
-        self.refresh_m(i);
+        refresh_m(self.inst, &self.schedule, self.lists, self.m, i);
         phi
     }
 }
@@ -189,7 +165,7 @@ fn run_inc(
         }
         state.lists[t].fully_updated = !cfg.bound_gate;
         state.lists[t].sort();
-        state.refresh_m(t);
+        refresh_m(inst, &state.schedule, state.lists, state.m, t);
     }
 
     while state.schedule.len() < k {
@@ -229,36 +205,7 @@ fn run_inc(
             .expect("selected assignment must be valid");
         state.engine.apply(chosen.event, chosen.interval);
 
-        // Bookkeeping (Algorithm 1 lines 9–15): every starting interval
-        // whose assignments may span into the placed span — the stale
-        // window; exactly the selected interval under duration-1 — has its
-        // survivors marked stale.
-        let span = stale_window(inst, max_dur, chosen.event, chosen.interval);
-        for ti in span.clone() {
-            let list = &mut state.lists[ti];
-            list.entries.retain(|e| e.event != chosen.event);
-            for e in &mut list.entries {
-                e.updated = false;
-            }
-            list.fully_updated = list.entries.is_empty();
-            state.m[ti] = None;
-        }
-        // ...and M entries invalidated by the selection — the chosen event's
-        // other assignments, plus (under the duration extension) any entry
-        // whose own span now collides with the newly placed event — are
-        // re-derived.
-        for i in 0..num_intervals {
-            if span.contains(&i) {
-                continue;
-            }
-            let needs_refresh = state.m[i].is_some_and(|c| {
-                c.event == chosen.event
-                    || !state.schedule.is_valid_assignment(state.inst, c.event, c.interval)
-            });
-            if needs_refresh {
-                state.refresh_m(i);
-            }
-        }
+        mark_stale_after_selection(inst, max_dur, &state.schedule, state.lists, state.m, chosen);
     }
 
     let stats = *state.engine.stats();

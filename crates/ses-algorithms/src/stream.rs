@@ -24,7 +24,16 @@
 //!   (minus) the churned users' contributions is the new score up to
 //!   summation-order float error. A relative safety epsilon keeps it a
 //!   *sound upper bound*; exactness (bit-identity) is restored only by a
-//!   real refresh.
+//!   real refresh;
+//! * constraint ops and [`StreamScheduler::set_constraints`]
+//!   (`ConstraintsChanged`) — no score changes, but the table's
+//!   empty-schedule validity mask is reconciled: a venue capacity below an
+//!   event's duration closes that event's cells, and lifting it reopens
+//!   (and scores) them.
+//!
+//! Every entry point — [`StreamScheduler::apply`] (a one-op batch),
+//! [`StreamScheduler::apply_batch`], [`StreamScheduler::repair_batch`] and
+//! [`StreamScheduler::set_constraints`] — runs this one repair path.
 //!
 //! The selection loop then re-runs with INC-style bound maintenance
 //! (§3.2's Corollary 1) seeded from the table: bound-only entries are
@@ -45,14 +54,15 @@
 //! (which must rescore all `|E|·|T|` cells) for every single-op delta.
 
 use crate::common::{
-    better, max_duration, reset_interval_lists, stale_window, Cand, Entry, IntervalList, Scratch,
+    better, mark_stale_after_selection, max_duration, refresh_m, reset_interval_lists,
+    score_empty_schedule, Cand, Entry, IntervalList, Scratch,
 };
 use serde::{Deserialize, Serialize};
 use ses_core::delta::coalesce::CoalesceError;
 use ses_core::delta::{self, DeltaEffect, DeltaOp};
 use ses_core::error::{DeltaError, ServiceError};
 use ses_core::model::Instance;
-use ses_core::parallel::{par_chunks_mut, Threads};
+use ses_core::parallel::Threads;
 use ses_core::schedule::Schedule;
 use ses_core::scoring::utility::total_utility;
 use ses_core::scoring::{ScoringEngine, StaticCaches, WarmCacheState};
@@ -71,7 +81,7 @@ struct TableEntry {
 
 /// Measurements of one repair (or of the cold build, for the first
 /// report): what it cost and what it produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RepairReport {
     /// Score-table cells recomputed eagerly during table maintenance.
     pub rescored: usize,
@@ -174,34 +184,29 @@ impl StreamScheduler {
         let start = Instant::now();
         let mut scratch = Scratch::new();
         let mut engine = ScoringEngine::with_threads(&inst, threads);
-        let mut table = score_table_full(&mut engine, threads);
+        let mut table = score_table_full(&mut engine);
         let rescored = table.iter().flatten().count();
-        let schedule = run_selection(&inst, &mut engine, &mut table, k, &mut scratch);
+        let schedule = run_selection(&mut engine, &mut table, k, &mut scratch);
         let stats = *engine.stats();
         let (comp_mass, engine_caches) = engine.into_warm_parts();
-        let utility = total_utility(&inst, &schedule);
-        let last = RepairReport {
-            rescored,
-            stats,
-            utility,
-            schedule_len: schedule.len(),
-            time_ms: start.elapsed().as_secs_f64() * 1e3,
-        };
-        Self {
+        let empty = Schedule::new(&inst);
+        let mut stream = Self {
             inst,
             k,
             threads,
             comp_mass,
             table,
-            schedule,
-            utility,
-            cumulative: stats,
-            last,
+            schedule: empty,
+            utility: 0.0,
+            cumulative: Stats::default(),
+            last: RepairReport::default(),
             ops_applied: 0,
             scratch,
             engine_caches: Some(engine_caches),
             bound_gate: false,
-        }
+        };
+        stream.install(start, rescored, stats, schedule);
+        stream
     }
 
     /// Toggles the bound-first gate for subsequent repairs. The gate never
@@ -213,71 +218,20 @@ impl StreamScheduler {
         self
     }
 
-    /// Applies one op and repairs the schedule. Returns this repair's
+    /// Applies one op and repairs the schedule — a one-op
+    /// [`apply_batch`](Self::apply_batch). Returns this repair's
     /// measurements (also available as [`last_repair`](Self::last_repair)).
     ///
     /// # Errors
     /// Any [`DeltaError`] from validation; on error nothing changes.
     pub fn apply(&mut self, op: &DeltaOp) -> Result<&RepairReport, DeltaError> {
-        let start = Instant::now();
-        // Leaving users' bound deductions need their pre-op µ/σ/C values.
-        let retire_adjust = match op {
-            DeltaOp::RetireUsers { users } if users.iter().all(|&u| u < self.inst.num_users()) => {
-                Some(user_cell_contributions(&self.inst, &self.comp_mass, users))
-            }
-            _ => None,
-        };
-        let effect = delta::apply(&mut self.inst, op)?;
-        delta::refresh_comp_mass(&mut self.comp_mass, &self.inst, &effect);
-        let adjust = match &effect {
-            DeltaEffect::UsersAdded { first, count } => {
-                let joined: Vec<usize> = (*first..first + count).collect();
-                Some(user_cell_contributions(&self.inst, &self.comp_mass, &joined))
-            }
-            DeltaEffect::UsersRetired { .. } => retire_adjust,
-            _ => None,
-        };
-        // User churn invalidates the static caches (weights/activity rows
-        // resize, competing masses change); every other op reuses them,
-        // making the warm rebuild O(|U|·|T|) lighter.
-        let warm_caches = match &effect {
-            DeltaEffect::UsersAdded { .. } | DeltaEffect::UsersRetired { .. } => {
-                self.engine_caches = None;
-                None
-            }
-            _ => self.engine_caches.take(),
-        };
-        let comp = std::mem::take(&mut self.comp_mass);
-        let mut engine = match warm_caches {
-            Some(caches) => ScoringEngine::from_warm_parts(&self.inst, comp, caches, self.threads),
-            None => ScoringEngine::from_comp_mass(&self.inst, comp, self.threads),
-        };
-        let rescored =
-            maintain_table(&mut self.table, &effect, &mut engine, adjust, self.bound_gate);
-        let schedule =
-            run_selection(&self.inst, &mut engine, &mut self.table, self.k, &mut self.scratch);
-        let stats = *engine.stats();
-        let (comp_mass, engine_caches) = engine.into_warm_parts();
-        self.comp_mass = comp_mass;
-        self.engine_caches = Some(engine_caches);
-        self.utility = total_utility(&self.inst, &schedule);
-        self.schedule = schedule;
-        self.cumulative += stats;
-        self.ops_applied += 1;
-        self.last = RepairReport {
-            rescored,
-            stats,
-            utility: self.utility,
-            schedule_len: self.schedule.len(),
-            time_ms: start.elapsed().as_secs_f64() * 1e3,
-        };
-        Ok(&self.last)
+        self.apply_batch(std::slice::from_ref(op)).map_err(|e| e.source)
     }
 
     /// Applies a whole batch of ops under a **single** repair: the score
-    /// table is maintained per op (same invalidation contract as
-    /// [`apply`](Self::apply)), but the selection loop — the dominant cost
-    /// of a repair — runs once, at the end. Because selection always
+    /// table is maintained per op (the invalidation contract in the module
+    /// docs), but the selection loop — the dominant cost of a repair — runs
+    /// once, at the end, on the last op's engine. Because selection always
     /// re-derives the true greedy argmax sequence on the live instance,
     /// the resulting schedule, utility bits, and assignments are identical
     /// to applying the same ops one at a time (what differs is the work,
@@ -286,90 +240,35 @@ impl StreamScheduler {
     /// [`ops_applied`](Self::ops_applied) counts every op of the batch.
     ///
     /// # Errors
-    /// [`CoalesceError`] wrapping the first rejected op. The valid prefix
-    /// stays applied and selection still runs, so the schedule always
-    /// matches the live instance even on failure.
+    /// [`CoalesceError`] wrapping the first rejected op. When that is the
+    /// first op, nothing changes (instance, schedule, report and counters).
+    /// Otherwise the valid prefix stays applied and selection still runs,
+    /// so the schedule always matches the live instance.
     pub fn apply_batch(&mut self, ops: &[DeltaOp]) -> Result<&RepairReport, CoalesceError> {
         let start = Instant::now();
-        let mut rescored = 0usize;
-        let mut table_stats = Stats::default();
-        let mut failed = None;
+        let (mut rescored, mut stats) = (0, Stats::default());
         for (op_index, op) in ops.iter().enumerate() {
-            let retire_adjust = match op {
-                DeltaOp::RetireUsers { users }
-                    if users.iter().all(|&u| u < self.inst.num_users()) =>
-                {
-                    Some(user_cell_contributions(&self.inst, &self.comp_mass, users))
-                }
-                _ => None,
-            };
-            let effect = match delta::apply(&mut self.inst, op) {
-                Ok(effect) => effect,
+            let (effect, adjust) = match self.apply_op(op) {
+                Ok(applied) => applied,
                 Err(source) => {
-                    failed = Some(CoalesceError { op_index, source });
-                    break;
+                    if op_index > 0 {
+                        self.repair(start, rescored, stats, None);
+                    }
+                    return Err(CoalesceError { op_index, source });
                 }
             };
-            delta::refresh_comp_mass(&mut self.comp_mass, &self.inst, &effect);
-            let adjust = match &effect {
-                DeltaEffect::UsersAdded { first, count } => {
-                    let joined: Vec<usize> = (*first..first + count).collect();
-                    Some(user_cell_contributions(&self.inst, &self.comp_mass, &joined))
-                }
-                DeltaEffect::UsersRetired { .. } => retire_adjust,
-                _ => None,
-            };
-            let warm_caches = match &effect {
-                DeltaEffect::UsersAdded { .. } | DeltaEffect::UsersRetired { .. } => {
-                    self.engine_caches = None;
-                    None
-                }
-                _ => self.engine_caches.take(),
-            };
-            let comp = std::mem::take(&mut self.comp_mass);
-            let mut engine = match warm_caches {
-                Some(caches) => {
-                    ScoringEngine::from_warm_parts(&self.inst, comp, caches, self.threads)
-                }
-                None => ScoringEngine::from_comp_mass(&self.inst, comp, self.threads),
-            };
-            rescored +=
-                maintain_table(&mut self.table, &effect, &mut engine, adjust, self.bound_gate);
-            table_stats += *engine.stats();
-            let (comp_mass, engine_caches) = engine.into_warm_parts();
-            self.comp_mass = comp_mass;
-            self.engine_caches = Some(engine_caches);
             self.ops_applied += 1;
+            if op_index + 1 == ops.len() {
+                return Ok(self.repair(start, rescored, stats, Some((&effect, adjust))));
+            }
+            let gate = self.bound_gate;
+            let (op_rescored, op_stats) = self.with_engine(|engine, table, _| {
+                (maintain_table(table, &effect, engine, adjust, gate), *engine.stats())
+            });
+            rescored += op_rescored;
+            stats += op_stats;
         }
-        // One selection for the whole batch — also after a mid-batch
-        // failure, so the schedule matches whatever prefix was applied.
-        let warm_caches = self.engine_caches.take();
-        let comp = std::mem::take(&mut self.comp_mass);
-        let mut engine = match warm_caches {
-            Some(caches) => ScoringEngine::from_warm_parts(&self.inst, comp, caches, self.threads),
-            None => ScoringEngine::from_comp_mass(&self.inst, comp, self.threads),
-        };
-        let schedule =
-            run_selection(&self.inst, &mut engine, &mut self.table, self.k, &mut self.scratch);
-        let mut stats = *engine.stats();
-        stats += table_stats;
-        let (comp_mass, engine_caches) = engine.into_warm_parts();
-        self.comp_mass = comp_mass;
-        self.engine_caches = Some(engine_caches);
-        self.utility = total_utility(&self.inst, &schedule);
-        self.schedule = schedule;
-        self.cumulative += stats;
-        self.last = RepairReport {
-            rescored,
-            stats,
-            utility: self.utility,
-            schedule_len: self.schedule.len(),
-            time_ms: start.elapsed().as_secs_f64() * 1e3,
-        };
-        match failed {
-            Some(err) => Err(err),
-            None => Ok(&self.last),
-        }
+        Ok(self.repair(start, rescored, stats, None))
     }
 
     /// Coalesces `window` against the live instance (see
@@ -399,16 +298,18 @@ impl StreamScheduler {
     /// a constrained instance cold (the service's `Schedule` request with a
     /// `constraints` block routes here when a stream session is live).
     ///
-    /// Scores are constraint-independent, so no cached score is touched;
-    /// only the table's empty-schedule *validity mask* is reconciled (cells
-    /// the new rules open up get scored, cells they close get dropped), and
+    /// The repair is the one a constraint op gets
+    /// ([`DeltaEffect::ConstraintsChanged`]): no cached score is touched,
+    /// the table's empty-schedule validity mask is reconciled, and
     /// selection re-runs through the constraint-aware `check_assign` gate.
+    /// [`ops_applied`](Self::ops_applied) does not advance.
     ///
     /// # Errors
     /// Any [`BuildError`] from validating the set against the current
     /// events; nothing changes on error.
     ///
     /// [`ConstraintSet`]: ses_core::constraints::ConstraintSet
+    /// [`BuildError`]: ses_core::error::BuildError
     pub fn set_constraints(
         &mut self,
         constraints: ses_core::constraints::ConstraintSet,
@@ -416,49 +317,92 @@ impl StreamScheduler {
         constraints.validate(self.inst.num_events())?;
         let start = Instant::now();
         self.inst.constraints = constraints;
-        let warm_caches = self.engine_caches.take();
+        Ok(self.repair(start, 0, Stats::default(), Some((&DeltaEffect::ConstraintsChanged, None))))
+    }
+
+    /// Applies one op to the instance and the competing-mass table and
+    /// returns its effect plus, for user churn, the churned users'
+    /// [`user_cell_contributions`] (a retirement's are taken before the op,
+    /// while the leaving users' µ/σ/C values still exist). User churn also
+    /// drops the static engine caches (weights, activity rows and competing
+    /// masses change); every other op keeps them warm.
+    ///
+    /// # Errors
+    /// Any [`DeltaError`] from validation; on error nothing changes.
+    fn apply_op(&mut self, op: &DeltaOp) -> Result<(DeltaEffect, Option<Vec<f64>>), DeltaError> {
+        let retire_adjust = match op {
+            DeltaOp::RetireUsers { users } if users.iter().all(|&u| u < self.inst.num_users()) => {
+                Some(user_cell_contributions(&self.inst, &self.comp_mass, users))
+            }
+            _ => None,
+        };
+        let effect = delta::apply(&mut self.inst, op)?;
+        delta::refresh_comp_mass(&mut self.comp_mass, &self.inst, &effect);
+        let adjust = match &effect {
+            DeltaEffect::UsersAdded { first, count } => {
+                let joined: Vec<usize> = (*first..first + count).collect();
+                Some(user_cell_contributions(&self.inst, &self.comp_mass, &joined))
+            }
+            DeltaEffect::UsersRetired { .. } => retire_adjust,
+            _ => None,
+        };
+        if matches!(effect, DeltaEffect::UsersAdded { .. } | DeltaEffect::UsersRetired { .. }) {
+            self.engine_caches = None;
+        }
+        Ok((effect, adjust))
+    }
+
+    /// Runs `f` on an engine rebuilt from the warm caches (competing mass,
+    /// plus the static caches unless user churn dropped them), then puts
+    /// the caches back.
+    fn with_engine<R>(
+        &mut self,
+        f: impl FnOnce(&mut ScoringEngine<'_>, &mut Vec<Option<TableEntry>>, &mut Scratch) -> R,
+    ) -> R {
         let comp = std::mem::take(&mut self.comp_mass);
-        let mut engine = match warm_caches {
+        let mut engine = match self.engine_caches.take() {
             Some(caches) => ScoringEngine::from_warm_parts(&self.inst, comp, caches, self.threads),
             None => ScoringEngine::from_comp_mass(&self.inst, comp, self.threads),
         };
-        let num_e = self.inst.num_events();
-        let probe = Schedule::new(&self.inst);
-        let mut rescored = 0;
-        for t in 0..self.inst.num_intervals() {
-            let interval = IntervalId::new(t);
-            for e in 0..num_e {
-                let event = EventId::new(e);
-                let idx = t * num_e + e;
-                let valid = probe.is_valid_assignment(&self.inst, event, interval);
-                match (&self.table[idx], valid) {
-                    (None, true) => {
-                        engine.stats_mut().record_examined(1);
-                        self.table[idx] = if self.bound_gate {
-                            engine.stats_mut().record_bound_skip();
-                            Some(TableEntry {
-                                score: engine.score_bound(event, interval),
-                                exact: false,
-                            })
-                        } else {
-                            rescored += 1;
-                            Some(TableEntry {
-                                score: engine.assignment_score(event, interval),
-                                exact: true,
-                            })
-                        };
-                    }
-                    (Some(_), false) => self.table[idx] = None,
-                    _ => {}
-                }
-            }
-        }
-        let schedule =
-            run_selection(&self.inst, &mut engine, &mut self.table, self.k, &mut self.scratch);
-        let stats = *engine.stats();
+        let out = f(&mut engine, &mut self.table, &mut self.scratch);
         let (comp_mass, engine_caches) = engine.into_warm_parts();
         self.comp_mass = comp_mass;
         self.engine_caches = Some(engine_caches);
+        out
+    }
+
+    /// The one repair path: maintains the table for a still-pending effect
+    /// (if any) and runs selection on the same engine, then installs the
+    /// schedule and its report. `rescored` and `stats` carry the table work
+    /// of the batch's earlier ops.
+    fn repair(
+        &mut self,
+        start: Instant,
+        mut rescored: usize,
+        mut stats: Stats,
+        pending: Option<(&DeltaEffect, Option<Vec<f64>>)>,
+    ) -> &RepairReport {
+        let (k, gate) = (self.k, self.bound_gate);
+        let schedule = self.with_engine(|engine, table, scratch| {
+            if let Some((effect, adjust)) = pending {
+                rescored += maintain_table(table, effect, engine, adjust, gate);
+            }
+            let schedule = run_selection(engine, table, k, scratch);
+            stats += *engine.stats();
+            schedule
+        });
+        self.install(start, rescored, stats, schedule)
+    }
+
+    /// Installs a selected schedule: its utility, the lifetime counters and
+    /// the report of the repair that produced it.
+    fn install(
+        &mut self,
+        start: Instant,
+        rescored: usize,
+        stats: Stats,
+        schedule: Schedule,
+    ) -> &RepairReport {
         self.utility = total_utility(&self.inst, &schedule);
         self.schedule = schedule;
         self.cumulative += stats;
@@ -469,7 +413,7 @@ impl StreamScheduler {
             schedule_len: self.schedule.len(),
             time_ms: start.elapsed().as_secs_f64() * 1e3,
         };
-        Ok(&self.last)
+        &self.last
     }
 
     /// The live instance in its current (post-op) state.
@@ -637,61 +581,40 @@ impl StreamScheduler {
     }
 }
 
-/// Scores the full empty-schedule table. At `threads > 1` the rows fan out
-/// through the stat-free [`ScoringEngine::peek_score`] (the pool does not
-/// nest) and the `Stats` bookkeeping is replayed in the sequential pass's
-/// `(t, e)` order — the ALG candidate-generation pattern.
-fn score_table_full(engine: &mut ScoringEngine<'_>, threads: Threads) -> Vec<Option<TableEntry>> {
-    let inst = engine.instance();
-    let (num_e, num_t) = (inst.num_events(), inst.num_intervals());
-    let probe = Schedule::new(inst);
-    let mut table: Vec<Option<TableEntry>> = vec![None; num_e * num_t];
-    if threads.is_sequential() || num_t < 2 {
-        for t in 0..num_t {
-            let interval = IntervalId::new(t);
-            for e in 0..num_e {
-                let event = EventId::new(e);
-                if probe.is_valid_assignment(inst, event, interval) {
-                    engine.stats_mut().record_examined(1);
-                    let score = engine.assignment_score(event, interval);
-                    table[t * num_e + e] = Some(TableEntry { score, exact: true });
-                }
-            }
-        }
-    } else {
-        let eng: &ScoringEngine<'_> = engine;
-        par_chunks_mut(threads, &mut table, num_e, |t, row| {
-            let interval = IntervalId::new(t);
-            for (e, slot) in row.iter_mut().enumerate() {
-                let event = EventId::new(e);
-                if probe.is_valid_assignment(inst, event, interval) {
-                    *slot =
-                        Some(TableEntry { score: eng.peek_score(event, interval), exact: true });
-                }
-            }
-        });
-        for t in 0..num_t {
-            for e in 0..num_e {
-                if table[t * num_e + e].is_some() {
-                    engine.stats_mut().record_examined(1);
-                    let cost = engine.score_cost(EventId::new(e));
-                    engine.stats_mut().record_score(cost);
-                }
-            }
-        }
-    }
-    table
+/// Scores the full empty-schedule table through the shared builder
+/// ([`score_empty_schedule`]); every scored cell also counts as examined.
+fn score_table_full(engine: &mut ScoringEngine<'_>) -> Vec<Option<TableEntry>> {
+    let mut scores = Vec::new();
+    let scored = score_empty_schedule(engine, &mut scores);
+    engine.stats_mut().record_examined(scored as u64);
+    scores.into_iter().map(|s| s.map(|score| TableEntry { score, exact: true })).collect()
 }
 
-/// Rescores one event's `|T|` table cells (the engine's scheduled mass must
-/// be zero). Returns the number of cells scored eagerly.
-///
-/// With the bound-first gate on, the cells are instead *seeded* with the
-/// engine's O(duration) separable upper bound and marked inexact
-/// (`Stats::bound_skips` counts them) — the selection machinery already
-/// refreshes inexact cells lazily, exactly when their bound could still win
-/// a round, and writes virgin-span refreshes back as exact. A column the
-/// schedule never competes for thus never pays a full sweep.
+/// Scores one empty-schedule cell that is (newly) valid; the engine's
+/// scheduled mass must be zero. Returns it exact, or — with the bound-first
+/// gate on — *seeded* with the engine's O(duration) separable upper bound
+/// and marked inexact (`Stats::bound_skips` counts them): the selection
+/// machinery already refreshes inexact cells lazily, exactly when their
+/// bound could still win a round, and writes virgin-span refreshes back as
+/// exact, so a cell the schedule never competes for never pays a full
+/// sweep.
+fn score_cell(
+    engine: &mut ScoringEngine<'_>,
+    event: EventId,
+    interval: IntervalId,
+    gate: bool,
+) -> TableEntry {
+    engine.stats_mut().record_examined(1);
+    if gate {
+        engine.stats_mut().record_bound_skip();
+        TableEntry { score: engine.score_bound(event, interval), exact: false }
+    } else {
+        TableEntry { score: engine.assignment_score(event, interval), exact: true }
+    }
+}
+
+/// Rescores one event's `|T|` table cells through [`score_cell`]. Returns
+/// the number of cells scored eagerly.
 fn rescore_event_column(
     table: &mut [Option<TableEntry>],
     engine: &mut ScoringEngine<'_>,
@@ -705,14 +628,9 @@ fn rescore_event_column(
     for t in 0..inst.num_intervals() {
         let interval = IntervalId::new(t);
         table[t * num_e + event.index()] = if probe.is_valid_assignment(inst, event, interval) {
-            engine.stats_mut().record_examined(1);
-            if gate {
-                engine.stats_mut().record_bound_skip();
-                Some(TableEntry { score: engine.score_bound(event, interval), exact: false })
-            } else {
-                scored += 1;
-                Some(TableEntry { score: engine.assignment_score(event, interval), exact: true })
-            }
+            let cell = score_cell(engine, event, interval, gate);
+            scored += usize::from(cell.exact);
+            Some(cell)
         } else {
             None
         };
@@ -828,9 +746,31 @@ fn maintain_table(
         }
         DeltaEffect::ConstraintsChanged => {
             // Scores are constraint-independent: every cached score (and its
-            // exactness) is still correct. The re-run of selection that
-            // follows every apply enforces the new rules via check_assign.
-            0
+            // exactness) is still correct, and the selection that follows
+            // enforces the new rules via check_assign. Only the validity
+            // mask can move — a venue capacity below an event's duration
+            // closes that event's cells, and lifting it reopens them — so
+            // cells the rules open up get scored and cells they close get
+            // dropped.
+            let probe = Schedule::new(inst);
+            let mut scored = 0;
+            for t in 0..num_t {
+                let interval = IntervalId::new(t);
+                for e in 0..num_e {
+                    let event = EventId::new(e);
+                    let cell = &mut table[t * num_e + e];
+                    match (cell.is_some(), probe.is_valid_assignment(inst, event, interval)) {
+                        (false, true) => {
+                            let entry = score_cell(engine, event, interval, gate);
+                            scored += usize::from(entry.exact);
+                            *cell = Some(entry);
+                        }
+                        (true, false) => *cell = None,
+                        _ => {}
+                    }
+                }
+            }
+            scored
         }
     }
 }
@@ -853,27 +793,6 @@ struct RunState<'a, 'b, 'e> {
 }
 
 impl RunState<'_, '_, '_> {
-    /// Re-derives `M[i]`: the first updated & valid entry in sorted order,
-    /// dropping invalid entries encountered on the way.
-    fn refresh_m(&mut self, i: usize) {
-        let interval = IntervalId::new(i);
-        let mut found = None;
-        let mut idx = 0;
-        while idx < self.lists[i].entries.len() {
-            let ent = self.lists[i].entries[idx];
-            if !self.schedule.is_valid_assignment(self.inst, ent.event, interval) {
-                self.lists[i].entries.remove(idx);
-                continue;
-            }
-            if ent.updated {
-                found = Some(Cand::new(ent.score, interval, ent.event));
-                break;
-            }
-            idx += 1;
-        }
-        self.m[i] = found;
-    }
-
     /// The Corollary-1 update pass for one interval (INC's walk), with two
     /// stream-specific twists: only *stale* entries are examined (an
     /// updated entry is capped by `M[i]`, which Φ already covers, so
@@ -929,7 +848,7 @@ impl RunState<'_, '_, '_> {
             self.lists[i].sort();
         }
         self.lists[i].fully_updated = self.lists[i].entries.iter().all(|e| e.updated);
-        self.refresh_m(i);
+        refresh_m(self.inst, &self.schedule, self.lists, self.m, i);
         phi
     }
 }
@@ -939,12 +858,12 @@ impl RunState<'_, '_, '_> {
 /// selects the true greedy argmax under the canonical tie-break, so the
 /// result equals a from-scratch INC run on the same instance.
 fn run_selection(
-    inst: &Instance,
     engine: &mut ScoringEngine<'_>,
     table: &mut [Option<TableEntry>],
     k: usize,
     scratch: &mut Scratch,
 ) -> Schedule {
+    let inst = engine.instance();
     let num_e = inst.num_events();
     let num_t = inst.num_intervals();
     let max_dur = max_duration(inst);
@@ -966,7 +885,7 @@ fn run_selection(
     let mut state =
         RunState { inst, engine, table, schedule: Schedule::new(inst), lists, m, virgin };
     for i in 0..num_t {
-        state.refresh_m(i);
+        refresh_m(inst, &state.schedule, state.lists, state.m, i);
     }
 
     while state.schedule.len() < k {
@@ -1015,28 +934,7 @@ fn run_selection(
             state.virgin[ti] = false;
         }
 
-        let span = stale_window(inst, max_dur, chosen.event, chosen.interval);
-        for ti in span.clone() {
-            let list = &mut state.lists[ti];
-            list.entries.retain(|e| e.event != chosen.event);
-            for e in &mut list.entries {
-                e.updated = false;
-            }
-            list.fully_updated = list.entries.is_empty();
-            state.m[ti] = None;
-        }
-        for i in 0..num_t {
-            if span.contains(&i) {
-                continue;
-            }
-            let needs_refresh = state.m[i].is_some_and(|c| {
-                c.event == chosen.event
-                    || !state.schedule.is_valid_assignment(state.inst, c.event, c.interval)
-            });
-            if needs_refresh {
-                state.refresh_m(i);
-            }
-        }
+        mark_stale_after_selection(inst, max_dur, &state.schedule, state.lists, state.m, chosen);
     }
 
     state.schedule
@@ -1209,7 +1107,9 @@ mod tests {
 
     /// Constraint churn ops repair to exactly what a full recompute of the
     /// constrained instance produces, and every repaired schedule is
-    /// feasible under the live rules.
+    /// feasible under the live rules — including a capacity change that
+    /// moves the table's empty-schedule validity mask, which the op path
+    /// and the `set_constraints` path must both reconcile.
     #[test]
     fn constraint_ops_repair_to_recompute() {
         let inst = mid_instance();
@@ -1220,8 +1120,20 @@ mod tests {
             DeltaOp::SetVenueCapacity { location: LocationId::new(0), capacity: Some(1) },
             DeltaOp::RemoveEvent { event: EventId::new(5) }, // drops the conflict
             DeltaOp::RemoveConflict { a: EventId::new(0), b: EventId::new(5) },
+            // Two slots at a one-slot venue: every cell of the new event is
+            // infeasible on the empty schedule...
+            DeltaOp::AddEvent {
+                event: Event::new(LocationId::new(0), 1.0).with_duration(2),
+                interest: vec![1.0; 40],
+            },
+            // ...until the cap is lifted and the cells reopen.
+            DeltaOp::SetVenueCapacity { location: LocationId::new(0), capacity: None },
         ];
+        let mut before_lift = None;
         for (i, op) in ops.iter().enumerate() {
+            if i == 6 {
+                before_lift = Some(stream.to_state());
+            }
             let result = stream.apply(op);
             if i == 4 {
                 // The conflict died with the removed event; retracting it
@@ -1234,6 +1146,13 @@ mod tests {
             assert!(stream.schedule().verify_feasible(stream.instance()).is_ok());
         }
         assert!(stream.instance().constraints.has_precedence(EventId::new(2), EventId::new(8)));
+        assert!(stream.schedule().is_scheduled(EventId::new(15)), "the reopened event must win");
+
+        // The same rule change sent as a whole constraint set.
+        let mut via_set = StreamScheduler::from_state(before_lift.unwrap()).unwrap();
+        via_set.set_constraints(stream.instance().constraints.clone()).unwrap();
+        assert_matches_recompute(&via_set);
+        assert_eq!(via_set.schedule().assignments(), stream.schedule().assignments());
     }
 
     /// The warm `set_constraints` path must land on the same schedule,
@@ -1343,8 +1262,9 @@ mod tests {
         assert_eq!(stream.ops_applied(), 2);
     }
 
-    /// A mid-batch rejection keeps the applied prefix and still runs
-    /// selection, so the scheduler stays consistent with its instance.
+    /// A rejected first op leaves everything untouched; a mid-batch
+    /// rejection keeps the applied prefix and still runs selection, so the
+    /// scheduler stays consistent with its instance.
     #[test]
     fn apply_batch_failure_keeps_prefix_consistent() {
         let inst = mid_instance();
@@ -1354,6 +1274,17 @@ mod tests {
             DeltaOp::RemoveEvent { event: EventId::new(99) }, // rejected
             DeltaOp::ShiftInterest { event: EventId::new(4), user: 1, interest: 0.1 },
         ];
+        // A rejected first op changes nothing at all: no selection runs.
+        let (schedule, report, stats) =
+            (stream.schedule().clone(), stream.last_repair().clone(), *stream.stats());
+        let err = stream.apply_batch(&ops[1..]).unwrap_err();
+        assert_eq!(err.op_index, 0);
+        assert_eq!(stream.instance(), &inst);
+        assert_eq!(stream.schedule(), &schedule);
+        assert_eq!(stream.last_repair(), &report);
+        assert_eq!(stream.stats(), &stats);
+        assert_eq!(stream.ops_applied(), 0);
+
         let err = stream.apply_batch(&ops).unwrap_err();
         assert_eq!(err.op_index, 1);
         assert_eq!(stream.ops_applied(), 1);

@@ -33,13 +33,18 @@
 //! | `ShiftInterest` | unchanged | that event's column needs rescoring |
 //! | `AddUsers` | extend rows ([`refresh_comp_mass`]) | grows by at most `Σ_new w·σ(u,t)` (bound) |
 //! | `RetireUsers` | drop cells ([`refresh_comp_mass`]) | only shrinks (old value is a bound) |
-//! | constraint ops | unchanged | unchanged (scores are constraint-independent) |
+//! | constraint ops | unchanged | unchanged (scores are constraint-independent); validity mask reconciled |
 //!
 //! Constraint ops (`AddConflict` / `RemoveConflict` / `AddPrecedence` /
 //! `RemovePrecedence` / `SetVenueCapacity`) edit the instance's
 //! [`ConstraintSet`](crate::constraints::ConstraintSet) without touching any
 //! score, but the current schedule may have become infeasible — warm
 //! schedulers re-run selection on [`DeltaEffect::ConstraintsChanged`].
+//! The set of cells feasible on the *empty* schedule can move too: a
+//! venue capacity below an event's duration closes that event's cells, and
+//! lifting the cap reopens them. So on `ConstraintsChanged` a warm
+//! score table reconciles its empty-schedule validity mask (scoring
+//! reopened cells, dropping closed ones) before selection.
 //! `RemoveEvent` additionally drops the removed event's conflict and
 //! precedence edges and shifts the surviving edge ids, atomically with the
 //! event itself, so an op stream can never strand a dangling constraint
@@ -193,9 +198,11 @@ pub enum DeltaEffect {
         user: usize,
     },
     /// The instance's [`ConstraintSet`] changed. Scores are
-    /// constraint-independent, so no cache entry is invalidated — but the
-    /// current schedule may have become infeasible, so warm schedulers must
-    /// re-run selection.
+    /// constraint-independent, so no cached score is invalidated — but the
+    /// empty-schedule validity mask may have moved (a venue capacity below
+    /// an event's duration) and the current schedule may have become
+    /// infeasible, so warm schedulers reconcile the mask and re-run
+    /// selection.
     ///
     /// [`ConstraintSet`]: crate::constraints::ConstraintSet
     ConstraintsChanged,

@@ -346,13 +346,18 @@ fn constrained_runs_bit_identical_on_compressed_storage() {
 /// stream over a constrained base repairs bit-identically at 1/2/8
 /// threads, every intermediate repair stays independently feasible under
 /// the live rules, and the final state matches a cold rebuild of the
-/// materialized instance bit for bit.
+/// materialized instance bit for bit. A few base events span 2–3
+/// intervals, so capacity churn (caps of 1..=4 slots) can close and later
+/// reopen their empty-schedule cells.
 #[test]
 fn constrained_churning_streams_stay_feasible_and_thread_invariant() {
     use social_event_scheduling::core::delta;
     use social_event_scheduling::datasets::ops::{self, OpStreamParams};
 
     let mut base = Dataset::Unf.build(160, 18, 6, 0x5EED);
+    for (event, duration) in [(1, 2), (6, 3), (10, 3), (11, 2)] {
+        base.events[event].duration = duration;
+    }
     ConstraintFamily::Mixed.apply(&mut base, 0x5EED);
     let params = OpStreamParams::default()
         .with_ops(60)
